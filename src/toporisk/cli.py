@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -72,8 +74,8 @@ def _threshold_arg(text: str) -> float | None:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"threshold must be a number or 'auto', got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"threshold must be >= 0, got {text}")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"threshold must be finite and >= 0, got {text}")
     return value
 
 
@@ -99,9 +101,14 @@ def _seed_arg(text: str) -> int:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # a fresh name per write, so concurrent writers never share a temp file
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fmt(x: float) -> str:
@@ -123,19 +130,25 @@ def _stage_of(exc: Exception) -> str:
 
 
 def _report_error(path: Path, exc: Exception) -> None:
-    print(f"error [{_stage_of(exc)}] {path}: {exc}", file=sys.stderr)
+    if isinstance(exc, (TopoRiskError, OSError)):
+        print(f"error [{_stage_of(exc)}] {path}: {exc}", file=sys.stderr)
+        return
+    # an unexpected failure: keep its traceback for the bug report
+    traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+    print(f"error [internal] {path}: {exc!r}", file=sys.stderr)
 
 
 def _run_per_ticker(paths: list[Path], jobs: int, work: Callable[[Path], object]) -> list[object]:
     """Apply work to each path, jobs at a time; results keep input order.
 
-    Each slot holds either the work result or the exception it raised.
+    Each slot holds either the work result or the exception it raised;
+    no exception from one path reaches the others or the caller.
     """
 
     def safe(path: Path):
         try:
             return work(path)
-        except (TopoRiskError, OSError) as exc:
+        except Exception as exc:
             return exc
 
     if jobs <= 1:
@@ -181,8 +194,6 @@ def cmd_var(args: argparse.Namespace) -> int:
 def _diagram_set(args: argparse.Namespace, path: Path) -> PersistenceDiagramSet:
     returns = _returns_for(path)
     if args.stress:
-        if args.seed is None:
-            raise ParameterError("--stress requires --seed")
         returns = stress_sample(
             returns, StressConfig(seed=args.seed, fraction=args.stress_fraction)
         )
@@ -194,6 +205,9 @@ def _diagram_set(args: argparse.Namespace, path: Path) -> PersistenceDiagramSet:
 def cmd_diagram(args: argparse.Namespace) -> int:
     if len(args.input) != 1:
         print("error [cli]: diagram takes exactly one --input", file=sys.stderr)
+        return 2
+    if args.stress and args.seed is None:
+        print("error [cli]: --stress requires --seed", file=sys.stderr)
         return 2
     path = Path(args.input[0])
     try:
@@ -229,8 +243,20 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unique_tickers(paths: list[Path]) -> None:
+    """Reject two inputs with one ticker: their reports would share a file."""
+    seen: dict[str, Path] = {}
+    for path in paths:
+        if path.stem in seen:
+            raise ParameterError(
+                f"inputs {seen[path.stem]} and {path} both name ticker {path.stem!r}"
+            )
+        seen[path.stem] = path
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.input]
+    _unique_tickers(paths)
     out_dir = Path(args.output) if args.output else Path(".")
     cfg = AnalysisConfig(
         seed=args.seed,

@@ -98,13 +98,18 @@ class ReturnSeries:
 
 def _read_text(source: CsvSource) -> tuple[str, str | None]:
     """Return (text, ticker-from-filename-or-None) for a path or open stream."""
+    stem = None
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.read_bytes().decode("utf-8"), path.stem
-    data = source.read()
+        data, stem = path.read_bytes(), path.stem
+    else:
+        data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data, None
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from exc
+    return data, stem
 
 
 def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
@@ -115,7 +120,7 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     for anonymous streams).
 
     Raises:
-        FormatError: missing or wrong header.
+        FormatError: bytes that are not UTF-8, or a missing or wrong header.
         RowError: a data row that does not parse (carries its line number).
         DuplicateDateError: the same date appears twice.
         BadValueError: a close that is non-finite or <= 0.

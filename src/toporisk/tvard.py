@@ -181,49 +181,102 @@ def tvard_distance(a: FeatureVector, b: FeatureVector) -> float:
     return float(np.linalg.norm(a.values - b.values))
 
 
-def _linf(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+def _saturates(adj: list[list[int]], n_right: int) -> bool:
+    """Whether some matching covers every row of ``adj``: Hopcroft-Karp, no recursion.
+
+    ``adj[u]`` lists the right vertices 0..n_right-1 that row u may take.
+    Each phase grows BFS layers from the free rows up to the first layer
+    that reaches a free right vertex, then augments along vertex paths
+    that climb those layers, walking an explicit stack. The test fails
+    as soon as a phase's BFS reaches no free right vertex.
+    """
+    n = len(adj)
+    match_l = [-1] * n
+    match_r = [-1] * n_right
+    free = []
+    for u, nbrs in enumerate(adj):
+        if not nbrs:
+            return False
+        for v in nbrs:
+            if match_r[v] < 0:
+                match_r[v] = u
+                match_l[u] = v
+                break
+        else:
+            free.append(u)
+    while free:
+        dist = [-1] * n
+        for u in free:
+            dist[u] = 0
+        queue = list(free)
+        limit = -1
+        for u in queue:
+            du = dist[u]
+            if limit >= 0 and du > limit:
+                break
+            for v in adj[u]:
+                w = match_r[v]
+                if w < 0:
+                    limit = du
+                elif dist[w] < 0:
+                    dist[w] = du + 1
+                    queue.append(w)
+        if limit < 0:
+            return False
+        ptr = [0] * n
+        still_free = []
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                nbrs = adj[u]
+                i = ptr[u]
+                step = None
+                while i < len(nbrs):
+                    v = nbrs[i]
+                    i += 1
+                    w = match_r[v]
+                    if w < 0 or dist[w] == dist[u] + 1:
+                        step = v
+                        break
+                ptr[u] = i
+                if step is None:
+                    dist[u] = -1  # dead end for the rest of this phase
+                    stack.pop()
+                elif match_r[step] >= 0:
+                    stack.append(match_r[step])
+                else:
+                    v = step
+                    for x in reversed(stack):
+                        prev = match_l[x]
+                        match_l[x] = v
+                        match_r[v] = x
+                        v = prev
+                    break
+            if match_l[root] < 0:
+                still_free.append(root)
+        free = still_free
+    return True
 
 
 def _matching_exists(
-    d1: Sequence[tuple[float, float]], d2: Sequence[tuple[float, float]], c: float
+    cost: np.ndarray, half1: np.ndarray, half2: np.ndarray, c: float
 ) -> bool:
-    """Perfect matching test for the doubled bipartite graph at cost cap c.
+    """Whether the diagrams are within bottleneck distance c of each other.
 
-    Left side: points of d1 then diagonal slots for d2; right side:
-    points of d2 then diagonal slots for d1. A point may match a point
-    (L-infinity cost), its side's diagonal slot (half persistence), and
-    slots match slots at cost 0.
+    ``cost`` is the n1 x n2 matrix of L-infinity point costs, ``half1``
+    and ``half2`` the points' distances to the diagonal. The rows of
+    each one-sided test are the far points of one diagram, each with
+    its points of the other diagram within cost c (see
+    ``bottleneck_distance`` for why the two tests decide it).
     """
-    n1, n2 = len(d1), len(d2)
-    size = n1 + n2
-
-    def edges(i: int) -> list[int]:
-        out = []
-        if i < n1:
-            p = d1[i]
-            out.extend(j for j in range(n2) if _linf(p, d2[j]) <= c)
-            if (p[1] - p[0]) / 2.0 <= c:
-                out.extend(range(n2, size))
-        else:
-            out.extend(j for j in range(n2) if (d2[j][1] - d2[j][0]) / 2.0 <= c)
-            out.extend(range(n2, size))
-        return out
-
-    match_right: list[int] = [-1] * size
-
-    def augment(i: int, visited: list[bool]) -> bool:
-        for j in edges(i):
-            if visited[j]:
-                continue
-            visited[j] = True
-            if match_right[j] == -1 or augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(size):
-        if not augment(i, [False] * size):
+    within = cost <= c
+    for rows, half in ((within, half1), (within.T, half2)):
+        far = rows[half > c]
+        cols = np.nonzero(far)[1].tolist()
+        ends = np.cumsum(far.sum(axis=1)).tolist()
+        adj = [cols[a:b] for a, b in zip([0] + ends, ends)]
+        if not _saturates(adj, rows.shape[1]):
             return False
     return True
 
@@ -234,28 +287,47 @@ def bottleneck_distance(
     """Exact bottleneck distance between two finite single-dimension diagrams.
 
     Minimum over partial matchings of the largest L-infinity pair cost,
-    with unmatched points paying their distance to the diagonal. Found by
-    binary search over the finite set of candidate costs, testing perfect
-    matchings on the doubled bipartite graph.
+    with unmatched points paying their distance to the diagonal, half
+    their persistence. The answer is one of the candidate costs: 0, a
+    point's distance to the diagonal, or an entry of the n1 x n2 cost
+    matrix max(|birth1 - birth2|, |death1 - death2|), built once with
+    numpy from the same IEEE operations a pairwise loop would use. A
+    binary search over the sorted distinct candidates finds the least
+    feasible one.
+
+    Feasibility at cap c is decided on the graph of point pairs with
+    cost <= c. Call a point far when its distance to the diagonal
+    exceeds c. A matching of cost at most c exists exactly when that
+    graph has a matching covering every far point of both diagrams:
+    far points cannot go to the diagonal, and near points left over
+    can. This is the perfect-matching test on the doubled graph (each
+    diagram plus diagonal slots for the other) with the slots taken
+    out. By the Mendelsohn-Dulmage theorem, such a matching exists
+    exactly when one matching covers the far points of d1 and another
+    covers those of d2, so two one-sided Hopcroft-Karp tests decide it
+    exactly. Neither the search nor the matching recurses.
     """
-    for pair in list(d1) + list(d2):
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise ParameterError("bottleneck distance needs finite pairs; cap infinities first")
-    if not d1 and not d2:
+    a = np.asarray(d1, dtype=np.float64).reshape(-1, 2)
+    b = np.asarray(d2, dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("bottleneck distance needs finite pairs; cap infinities first")
+    if not len(a) and not len(b):
         return 0.0
-    candidates = {0.0}
-    candidates.update((p[1] - p[0]) / 2.0 for p in d1)
-    candidates.update((p[1] - p[0]) / 2.0 for p in d2)
-    candidates.update(_linf(p, q) for p in d1 for q in d2)
-    costs = sorted(candidates)
+    cost = np.maximum(
+        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+    )
+    half1 = (a[:, 1] - a[:, 0]) / 2.0
+    half2 = (b[:, 1] - b[:, 0]) / 2.0
+    costs = np.unique(np.concatenate(([0.0], half1, half2, cost.ravel())))
     lo, hi = 0, len(costs) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_exists(d1, d2, costs[mid]):
+        if _matching_exists(cost, half1, half2, costs[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return costs[lo]
+    # -0.0 and 0.0 are one candidate; + 0.0 reports it as 0.0
+    return float(costs[lo]) + 0.0
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
+import toporisk.cli as cli
 from toporisk.cli import main
 
 from conftest import write_price_csv
@@ -266,3 +268,92 @@ def test_analyze_json_summary(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert list(payload[0]) == ["ticker", "var", "cvar", "tvard"]
+
+
+# --- robustness: flags before I/O, isolated tickers, colliding names ---
+
+
+def test_undecodable_file_keeps_other_tickers(tmp_path, capsys):
+    good = make_csv(tmp_path, "GOOD")
+    bad = tmp_path / "BAD.csv"
+    bad.write_bytes(b"date,close\n2024-01-02,100.0\xff\n")
+    code, out, err = invoke(capsys, "var", "--input", str(good), str(bad))
+    assert code == 1
+    assert "error [ingest]" in err and "BAD.csv" in err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["GOOD"]
+
+
+def test_unexpected_ticker_error_is_isolated(tmp_path, capsys, monkeypatch):
+    good = make_csv(tmp_path, "GOOD")
+    bad = make_csv(tmp_path, "BAD", seed=62)
+    load = cli.load_price_csv
+
+    def flaky_load(path):
+        if path.stem == "BAD":
+            raise RecursionError("maximum recursion depth exceeded")
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_price_csv", flaky_load)
+    code, out, err = invoke(capsys, "var", "--input", str(bad), str(good))
+    assert code == 1
+    assert "error [internal]" in err and "BAD.csv" in err and "RecursionError" in err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["GOOD"]
+
+
+def test_nonfinite_threshold_rejected_before_io(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    for value in ("nan", "NaN", "inf", "-inf", "Infinity"):
+        for command in (("var",), ("diagram",), ("analyze", "--seed", "1")):
+            code, _, err = invoke(
+                capsys, *command, "--input", str(missing), "--threshold", value
+            )
+            assert code == 2, (command, value)
+            assert "threshold" in err and "[io]" not in err, (command, value)
+
+
+def test_diagram_stress_without_seed_rejected_before_io(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    code, _, err = invoke(capsys, "diagram", "--input", str(missing), "--stress")
+    assert code == 2
+    assert "--seed" in err and "[io]" not in err
+
+
+def test_analyze_colliding_tickers_rejected(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        make_csv(tmp_path / sub, "X")
+    out_dir = tmp_path / "reports"
+    code, out, err = invoke(
+        capsys,
+        "analyze", "--input", str(tmp_path / "a" / "X.csv"), str(tmp_path / "b" / "X.csv"),
+        "--seed", "1", "--window", "5", "--threshold", "0.7", "--output", str(out_dir),
+    )
+    assert code == 2
+    assert "'X'" in err and out == ""
+    assert not out_dir.exists()
+
+    # rejected before any read: missing inputs give no [io] error
+    code, _, err = invoke(
+        capsys,
+        "analyze", "--input", str(tmp_path / "a" / "Y.csv"), str(tmp_path / "b" / "Y.csv"),
+        "--seed", "1",
+    )
+    assert code == 2
+    assert "'Y'" in err and "[io]" not in err
+
+
+def test_atomic_write_temp_name_unique_per_write(tmp_path, monkeypatch):
+    temps = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        temps.append(Path(src).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording_replace)
+    target = tmp_path / "X.json"
+    cli._atomic_write(target, "one")
+    cli._atomic_write(target, "two")
+    assert len(set(temps)) == 2
+    assert target.read_text() == "two"
+    assert not list(tmp_path.glob(".*tmp*"))

@@ -303,6 +303,98 @@ def test_bottleneck_against_enumeration():
         )
 
 
+def test_bottleneck_tie_heavy_against_enumeration():
+    # births and deaths on a 0.1 grid: many equal costs, zero-persistence
+    # points and duplicate points
+    rng = random.Random(59)
+
+    def grid_diagram():
+        out = []
+        for _ in range(rng.randint(0, 4)):
+            birth = rng.randint(0, 5) / 10
+            out.append((birth, birth + rng.randint(0, 5) / 10))
+        return out
+
+    for _ in range(150):
+        d1, d2 = grid_diagram(), grid_diagram()
+        assert bottleneck_distance(d1, d2) == brute_bottleneck(d1, d2), (d1, d2)
+
+
+def doubled_graph_bottleneck(d1, d2) -> float:
+    """Binary search over the candidate costs with a max-flow perfect-matching test.
+
+    The doubled graph's left side is d1's points then one diagonal slot
+    per d2 point; its right side is d2's points then one slot per d1
+    point. At cap c a point joins a point within L-infinity cost c and
+    its own slot when its half persistence is at most c; slot q_j joins
+    slot p_i when p_i joins q_j. (Any perfect matching with all slot
+    pairs allowed keeps a perfect one after this restriction: mirror its
+    point pairs onto the slots and send the other points to their own.)
+    scipy's maximum_bipartite_matching took 1-17 s per probe on these
+    graphs at 1,200 pairs, so matching size is found as a unit-capacity
+    max flow (Dinic).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    p = np.asarray(d1, dtype=np.float64).reshape(-1, 2)
+    q = np.asarray(d2, dtype=np.float64).reshape(-1, 2)
+    n1, n2 = len(p), len(q)
+    size = n1 + n2
+    pair = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
+    diag1 = (p[:, 1] - p[:, 0]) / 2.0
+    diag2 = (q[:, 1] - q[:, 0]) / 2.0
+    costs = np.unique(np.concatenate(([0.0], diag1, diag2, pair.ravel())))
+
+    def perfect(c: float) -> bool:
+        adj = np.zeros((size, size), dtype=bool)
+        adj[:n1, :n2] = pair <= c
+        adj[:n1, n2:][np.diag_indices(n1)] = diag1 <= c
+        adj[n1:, :n2][np.diag_indices(n2)] = diag2 <= c
+        adj[n1:, n2:] = adj[:n1, :n2].T
+        left, right = np.nonzero(adj)
+        source, sink = 0, 2 * size + 1
+        tails = np.concatenate([np.zeros(size, dtype=int), 1 + left, 1 + size + np.arange(size)])
+        heads = np.concatenate([1 + np.arange(size), 1 + size + right, np.full(size, sink)])
+        net = csr_matrix(
+            (np.ones(len(tails), dtype=np.int32), (tails, heads)),
+            shape=(2 * size + 2, 2 * size + 2),
+        )
+        return maximum_flow(net, source, sink, method="dinic").flow_value == size
+
+    lo, hi = 0, len(costs) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if perfect(costs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(costs[lo])
+
+
+def test_doubled_graph_oracle_against_enumeration():
+    pytest.importorskip("scipy")
+    rng = random.Random(60)
+    for _ in range(40):
+        d1 = [(b, b + rng.randint(0, 4) / 10) for b in [rng.randint(0, 4) / 10 for _ in range(rng.randint(0, 3))]]
+        d2 = [(b, b + rng.randint(0, 4) / 10) for b in [rng.randint(0, 4) / 10 for _ in range(rng.randint(0, 3))]]
+        assert doubled_graph_bottleneck(d1, d2) == brute_bottleneck(d1, d2), (d1, d2)
+
+
+def test_bottleneck_1200_pairs_no_recursion():
+    # the recursive Kuhn solver this replaced raised RecursionError here
+    rng = np.random.default_rng(1200)
+
+    def diagram(n):
+        births = rng.uniform(0.0, 1.0, n)
+        return list(zip(births.tolist(), (births + rng.uniform(0.0, 1.0, n)).tolist()))
+
+    d1, d2 = diagram(1200), diagram(1200)
+    got = bottleneck_distance(d1, d2)
+    pytest.importorskip("scipy")
+    assert got == doubled_graph_bottleneck(d1, d2)
+
+
 # --- full analysis ---
 
 
