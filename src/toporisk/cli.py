@@ -157,8 +157,20 @@ def _run_per_ticker(paths: list[Path], jobs: int, work: Callable[[Path], object]
         return list(pool.map(safe, paths))
 
 
+def _unique_tickers(paths: list[Path]) -> None:
+    """Reject two inputs with one ticker (file stem): their outputs would collide."""
+    seen: dict[str, Path] = {}
+    for path in paths:
+        if path.stem in seen:
+            raise ParameterError(
+                f"inputs {seen[path.stem]} and {path} both name ticker {path.stem!r}"
+            )
+        seen[path.stem] = path
+
+
 def cmd_var(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.input]
+    _unique_tickers(paths)
 
     def work(path: Path):
         result = tail_risk(_returns_for(path), args.alpha)
@@ -241,17 +253,6 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         write_diagram_csv(diagrams, sys.stdout)
     return 0
-
-
-def _unique_tickers(paths: list[Path]) -> None:
-    """Reject two inputs with one ticker: their reports would share a file."""
-    seen: dict[str, Path] = {}
-    for path in paths:
-        if path.stem in seen:
-            raise ParameterError(
-                f"inputs {seen[path.stem]} and {path} both name ticker {path.stem!r}"
-            )
-        seen[path.stem] = path
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -188,7 +188,8 @@ def _saturates(adj: list[list[int]], n_right: int) -> bool:
     Each phase grows BFS layers from the free rows up to the first layer
     that reaches a free right vertex, then augments along vertex paths
     that climb those layers, walking an explicit stack. The test fails
-    as soon as a phase's BFS reaches no free right vertex.
+    as soon as a phase's BFS reaches no free right vertex; a phase whose
+    BFS reaches one augments at least once, so the loop ends.
     """
     n = len(adj)
     match_l = [-1] * n

@@ -318,7 +318,7 @@ def test_diagram_stress_without_seed_rejected_before_io(tmp_path, capsys):
     assert "--seed" in err and "[io]" not in err
 
 
-def test_analyze_colliding_tickers_rejected(tmp_path, capsys):
+def test_colliding_tickers_rejected(tmp_path, capsys):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         make_csv(tmp_path / sub, "X")
@@ -340,6 +340,13 @@ def test_analyze_colliding_tickers_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "'Y'" in err and "[io]" not in err
+
+    # var would print two rows named X
+    code, out, err = invoke(
+        capsys, "var", "--input", str(tmp_path / "a" / "X.csv"), str(tmp_path / "b" / "X.csv")
+    )
+    assert code == 2
+    assert "'X'" in err and out == ""
 
 
 def test_atomic_write_temp_name_unique_per_write(tmp_path, monkeypatch):
