@@ -49,6 +49,7 @@ from .tvard import (
     SplitMix64,
     StressConfig,
     bottleneck_distance,
+    preprocess,
     report_to_json,
     run_analysis,
     stress_sample,
@@ -94,6 +95,7 @@ __all__ = [
     "distance_matrix",
     "load_price_csv",
     "normalize",
+    "preprocess",
     "report_to_json",
     "run_analysis",
     "stress_sample",

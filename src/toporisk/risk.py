@@ -56,13 +56,10 @@ def _as_returns(sample: Any) -> np.ndarray:
     return arr
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Reject a confidence level outside (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _var_index(alpha: float, n: int) -> int:
-    return min(max(snapped_floor((1.0 - alpha) * n), 0), n - 1)
 
 
 def value_at_risk(sample: Any, alpha: float = 0.95) -> float:
@@ -72,9 +69,7 @@ def value_at_risk(sample: Any, alpha: float = 0.95) -> float:
     attribute (e.g. ReturnSeries). Returns the ascending order statistic
     at k = floor((1 - alpha) * n), clamped to the sample range.
     """
-    _check_alpha(alpha)
-    r = np.sort(_as_returns(sample))
-    return float(r[_var_index(alpha, r.shape[0])])
+    return tail_risk(sample, alpha).var
 
 
 def conditional_var(sample: Any, alpha: float = 0.95) -> float:
@@ -83,24 +78,19 @@ def conditional_var(sample: Any, alpha: float = 0.95) -> float:
     The arithmetic mean of the max(1, floor((1 - alpha) * n)) smallest
     returns; the floor of 1 keeps the tail non-empty at high alpha.
     """
-    _check_alpha(alpha)
-    r = np.sort(_as_returns(sample))
-    return float(np.mean(r[: _tail_count(alpha, r.shape[0])]))
-
-
-def _tail_count(alpha: float, n: int) -> int:
-    return min(max(1, snapped_floor((1.0 - alpha) * n)), n)
+    return tail_risk(sample, alpha).cvar
 
 
 def tail_risk(sample: Any, alpha: float = 0.95) -> TailRiskResult:
     """VaR and CVaR of one sample bundled with the tail bookkeeping."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     r = np.sort(_as_returns(sample))
     n = r.shape[0]
-    tail_count = _tail_count(alpha, n)
+    k = snapped_floor((1.0 - alpha) * n)
+    tail_count = min(max(1, k), n)
     return TailRiskResult(
         alpha=alpha,
-        var=float(r[_var_index(alpha, n)]),
+        var=float(r[min(max(k, 0), n - 1)]),
         cvar=float(np.mean(r[:tail_count])),
         n=n,
         tail_count=tail_count,

@@ -121,6 +121,26 @@ class PersistenceDiagramSet:
     max_dim: int
 
 
+def check_embedding(window: int, stride: int) -> None:
+    """Reject a delay-embedding window or stride below 1."""
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+
+
+def check_max_dim(max_dim: int) -> None:
+    """Reject a top homology dimension other than 0, 1 or 2."""
+    if max_dim not in (0, 1, 2):
+        raise ParameterError(f"max_dim must be 0, 1 or 2, got {max_dim}")
+
+
+def check_threshold(threshold: float | None) -> None:
+    """Reject a Rips scale cap that is negative or not finite; None means auto."""
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
+        raise ParameterError(f"threshold must be finite and >= 0, got {threshold}")
+
+
 def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> PointCloud:
     """Embed a return series as overlapping windows in R^window.
 
@@ -128,10 +148,7 @@ def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT
     attribute. Produces floor((L - window) / stride) + 1 points; raises
     InsufficientDataError when the series is shorter than one window.
     """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    check_embedding(window, stride)
     r = np.asarray(getattr(series, "returns", series), dtype=np.float64)
     if r.ndim != 1:
         raise ParameterError(f"series must be 1-D, got shape {r.shape}")
@@ -169,14 +186,12 @@ def build_rips_filtration(
     """
     entries = _dm_entries(dm)
     n = entries.shape[0]
-    if max_dim not in (0, 1, 2):
-        raise ParameterError(f"max_dim must be 0, 1 or 2, got {max_dim}")
+    check_max_dim(max_dim)
     if threshold is None or (isinstance(threshold, str) and threshold.lower() == "auto"):
         thr = float(entries.max()) if n > 1 else 0.0
     else:
         thr = float(threshold)
-        if thr < 0 or not math.isfinite(thr):
-            raise ParameterError(f"threshold must be finite and >= 0, got {threshold}")
+        check_threshold(thr)
 
     simplices: list[Simplex] = [Simplex((i,), 0.0) for i in range(n)]
 

@@ -30,19 +30,34 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError
 from .ingest import PriceSeries, ReturnSeries, clean_series, compute_returns, normalize
-from .risk import snapped_floor, tail_risk
+from .risk import check_alpha, snapped_floor, tail_risk
 from .tda import (
     DEFAULT_MAX_DIM,
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
     PersistenceDiagramSet,
     build_rips_filtration,
+    check_embedding,
+    check_max_dim,
+    check_threshold,
     compute_persistence,
     delay_embed,
     distance_matrix,
 )
 
 _U64 = (1 << 64) - 1
+
+
+def check_seed(seed: int) -> None:
+    """Reject a stress seed that is not an unsigned 64-bit integer."""
+    if not isinstance(seed, int) or not 0 <= seed <= _U64:
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
+def check_fraction(fraction: float) -> None:
+    """Reject a stress-sample fraction outside (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
 
 
 class SplitMix64:
@@ -55,8 +70,7 @@ class SplitMix64:
     GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _U64:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        check_seed(seed)
         self._state = seed
 
     def next_u64(self) -> int:
@@ -80,10 +94,8 @@ class StressConfig:
     fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ParameterError(f"fraction must lie in (0, 1], got {self.fraction}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _U64:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_fraction(self.fraction)
+        check_seed(self.seed)
 
 
 def sample_indices(n: int, k: int, seed: int) -> list[int]:
@@ -345,16 +357,10 @@ class AnalysisConfig:
     with_bottleneck: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.window < 1 or self.stride < 1:
-            raise ParameterError("window and stride must be >= 1")
-        if self.max_dim not in (0, 1, 2):
-            raise ParameterError(f"max_dim must be 0, 1 or 2, got {self.max_dim}")
-        if self.threshold is not None and (
-            not math.isfinite(self.threshold) or self.threshold < 0
-        ):
-            raise ParameterError(f"threshold must be finite and >= 0, got {self.threshold}")
+        check_alpha(self.alpha)
+        check_embedding(self.window, self.stride)
+        check_max_dim(self.max_dim)
+        check_threshold(self.threshold)
         StressConfig(seed=self.seed, fraction=self.fraction)
 
 
@@ -407,6 +413,23 @@ def report_to_json(report: RiskReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def preprocess(prices: PriceSeries) -> ReturnSeries:
+    """clean -> normalize -> returns; failures carry the stage "preprocess"."""
+    try:
+        cleaned, _ = clean_series(prices)
+        return compute_returns(normalize(cleaned))
+    except TopoRiskError as exc:
+        raise PipelineError("preprocess", exc) from exc
+
+
+def _stress_returns(returns: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
+    """The config's stress sample of returns; failures carry the stage "stress-sample"."""
+    try:
+        return stress_sample(returns, StressConfig(seed=cfg.seed, fraction=cfg.fraction))
+    except TopoRiskError as exc:
+        raise PipelineError("stress-sample", exc) from exc
+
+
 def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> PersistenceDiagramSet:
     try:
         cloud = delay_embed(returns, cfg.window, cfg.stride)
@@ -424,25 +447,14 @@ def run_analysis(prices: PriceSeries, cfg: AnalysisConfig) -> RiskReport:
     stress sample -> stress persistence -> vectorize -> TVaRD. Failures
     carry the stage name via PipelineError.
     """
-    try:
-        cleaned, _ = clean_series(prices)
-        normalized = normalize(cleaned)
-        returns = compute_returns(normalized)
-    except TopoRiskError as exc:
-        raise PipelineError("preprocess", exc) from exc
-
+    returns = preprocess(prices)
     try:
         tail = tail_risk(returns, cfg.alpha)
     except TopoRiskError as exc:
         raise PipelineError("risk", exc) from exc
 
     baseline = _diagrams_for(returns, cfg, "baseline-persistence")
-
-    try:
-        stressed = stress_sample(returns, StressConfig(seed=cfg.seed, fraction=cfg.fraction))
-    except TopoRiskError as exc:
-        raise PipelineError("stress-sample", exc) from exc
-    stress = _diagrams_for(stressed, cfg, "stress-persistence")
+    stress = _diagrams_for(_stress_returns(returns, cfg), cfg, "stress-persistence")
 
     try:
         vec_base, vec_stress = vectorize(baseline, stress)

@@ -364,3 +364,76 @@ def test_atomic_write_temp_name_unique_per_write(tmp_path, monkeypatch):
     assert len(set(temps)) == 2
     assert target.read_text() == "two"
     assert not list(tmp_path.glob(".*tmp*"))
+
+
+def test_var_and_analyze_label_preprocess_failure_alike(tmp_path, capsys):
+    flat = write_price_csv(tmp_path / "FLAT.csv", [100.0] * 40)
+    for command in (("var",), ("analyze", "--seed", "1", "--output", str(tmp_path / "r"))):
+        code, _, err = invoke(capsys, *command, "--input", str(flat))
+        assert code == 1, command
+        assert f"error [preprocess] {flat}" in err, command
+
+
+def test_diagram_unexpected_error_is_isolated(tmp_path, capsys, monkeypatch):
+    csv = make_csv(tmp_path, "BAD")
+
+    def flaky_load(path):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "load_price_csv", flaky_load)
+    code, out, err = invoke(capsys, "diagram", "--input", str(csv), "--window", "5")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" in err
+    assert f"error [internal] {csv}: RecursionError" in err
+
+
+def _diagram_csv_lines(rows: list[dict]) -> list[str]:
+    def fmt(x):
+        return x if x == "inf" else format(x, ".12g")
+
+    return ["dim,birth,death"] + [f"{r['dim']},{fmt(r['birth'])},{fmt(r['death'])}" for r in rows]
+
+
+def test_diagram_matches_analyze_report(tmp_path, capsys):
+    csv = make_csv(tmp_path)
+    flags = ("--window", "5", "--threshold", "0.7", "--stress-fraction", "0.6")
+    code, _, _ = invoke(
+        capsys, "analyze", "--input", str(csv), "--seed", "17", *flags,
+        "--output", str(tmp_path / "r"),
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "r" / "TICK.json").read_text())
+    for key, extra in (("baseline_diagrams", ()), ("stress_diagrams", ("--stress", "--seed", "17"))):
+        assert report[key]
+        code, out, _ = invoke(capsys, "diagram", "--input", str(csv), *flags, *extra,
+                              "--format", "json")
+        assert code == 0
+        assert json.loads(out) == report[key], key
+        code, out, _ = invoke(capsys, "diagram", "--input", str(csv), *flags, *extra)
+        assert code == 0
+        assert out.splitlines() == _diagram_csv_lines(report[key]), key
+    assert report["baseline_diagrams"] != report["stress_diagrams"]
+
+
+def test_range_rules_rejected_before_io_on_every_command(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    cases = (
+        ("--alpha", "0", "alpha"),
+        ("--alpha", "nan", "alpha"),
+        ("--window", "0", "window"),
+        ("--stride", "-1", "stride"),
+        ("--max-dim", "3", "max-dim"),
+        ("--threshold", "-1", "threshold"),
+        ("--stress-fraction", "0", "fraction"),
+        ("--stress-fraction", "1.5", "fraction"),
+        ("--jobs", "0", "jobs"),
+        ("--seed", "-1", "seed"),
+        ("--seed", str(1 << 64), "seed"),
+    )
+    for command in (("var",), ("diagram",), ("analyze", "--seed", "1")):
+        for flag, value, name in cases:
+            code, out, err = invoke(capsys, *command, "--input", str(missing), flag, value)
+            assert code == 2, (command, flag, value)
+            assert name in err.replace("_", "-"), (command, flag, value, err)
+            assert "[io]" not in err and out == "", (command, flag, value)

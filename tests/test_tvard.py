@@ -33,6 +33,7 @@ from toporisk import (
     delay_embed,
     distance_matrix,
     normalize,
+    preprocess,
     report_to_json,
     run_analysis,
     stress_sample,
@@ -509,3 +510,16 @@ def test_analysis_config_validation():
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=-1)
+
+
+def test_preprocess_returns_and_stage_label():
+    prices = make_prices(30)
+    returns = preprocess(prices)
+    expected = compute_returns(normalize(clean_series(prices)[0]))
+    assert np.array_equal(returns.returns, expected.returns)
+
+    count = 40
+    dates = tuple(weekdays(dt.date(2024, 1, 2), count))
+    with pytest.raises(PipelineError) as exc_info:
+        preprocess(PriceSeries("C", dates, np.full(count, 100.0)))
+    assert exc_info.value.stage == "preprocess"
