@@ -3,8 +3,10 @@
 The pipeline turns a 1-D return series into a point cloud of overlapping
 windows (sliding-window delay embedding), builds the Vietoris-Rips
 filtration on the Euclidean distance matrix up to a scale threshold, and
-reduces boundary matrices to persistence diagrams in dimensions
-0..max_dim.
+computes persistence diagrams in dimensions 0..max_dim: a union-find
+pass for dimension 0, then persistent cohomology with clearing (each
+dimension's coboundary matrix reduced from the latest simplex to the
+earliest, skipping simplices already paired in the dimension below).
 
 Two deliberate reading choices are worth knowing about:
 
@@ -12,8 +14,11 @@ Two deliberate reading choices are worth knowing about:
   Here the points are the overlapping windows (r_t, ..., r_{t+w-1}) for
   t = 0, stride, 2*stride, ...; window 10 and stride 1 are the defaults.
 * Homology coefficients are Z/2. Over a field, persistent homology and
-  persistent cohomology of the same filtration give identical diagrams,
-  so nothing downstream depends on which of the two is computed.
+  persistent cohomology of the same filtration give identical pairs
+  (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+  (co)homology", 2011), so nothing downstream depends on which of the
+  two is computed. Cohomology is faster: most coboundary columns need no
+  reduction, while most top-dimension boundary columns reduce to zero.
 
 ``betti_numbers_at`` recomputes Betti numbers from boundary-matrix ranks
 (rank-nullity) without touching the reduction pairing, so the two code
@@ -23,9 +28,10 @@ paths check each other; do not reimplement one in terms of the other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, NamedTuple, Sequence, Union
+from typing import IO, Any, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -233,31 +239,6 @@ def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
 
 
-def _validate_filtration(f: Filtration) -> None:
-    """Reject out-of-order, duplicate, oversized or face-less simplices."""
-    seen: dict[tuple[int, ...], int] = {}
-    prev_key: tuple | None = None
-    for s in f.simplices:
-        verts = s.vertices
-        if len(verts) > f.max_dim + 2:
-            raise InternalInvariantError(f"simplex {verts} exceeds dimension {f.max_dim + 1}")
-        if any(a >= b for a, b in zip(verts, verts[1:])):
-            raise InternalInvariantError(f"vertices not strictly increasing: {verts}")
-        if len(verts) == 1 and s.value != 0.0:
-            raise InternalInvariantError(f"vertex {verts} has nonzero value {s.value}")
-        if s.value > f.threshold:
-            raise InternalInvariantError(f"simplex {verts} value {s.value} above threshold")
-        key = (s.value, len(verts), verts)
-        if prev_key is not None and key <= prev_key:
-            raise InternalInvariantError(f"filtration order violated at {verts}")
-        prev_key = key
-        if len(verts) > 1:
-            for face in _facets(verts):
-                if face not in seen:
-                    raise InternalInvariantError(f"face {face} of {verts} missing or after coface")
-        seen[verts] = len(seen)
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -282,100 +263,119 @@ class _UnionFind:
         return True
 
 
-def _reduce_columns(
-    columns: Sequence[set[int] | None],
-) -> tuple[dict[int, int], list[int]]:
-    """Standard Z/2 column reduction; columns are sets of face indices.
+def _reduce_coboundaries(
+    coboundaries: list[list[int]], cleared: set[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Z/2 reduction of coboundary columns, latest column first.
 
-    Returns (pivot row -> column index, list of columns that reduced to
-    zero). Columns given as None are skipped (cleared from above).
+    ``coboundaries[i]`` lists the cofaces of simplex i in ascending
+    filtration order, so its pivot (earliest coface) is its first entry.
+    Columns in ``cleared`` are skipped: their simplex already died in the
+    dimension below, so they reduce to zero. Returns the (column, pivot)
+    pairs and the columns that reduced to zero.
     """
-    owner: dict[int, set[int]] = {}
-    pivot_of: dict[int, int] = {}
-    zero_cols: list[int] = []
-    for idx, col in enumerate(columns):
-        if col is None:
+    owner: dict[int, Iterable[int]] = {}
+    pairs: list[tuple[int, int]] = []
+    zeros: list[int] = []
+    for idx in range(len(coboundaries) - 1, -1, -1):
+        if idx in cleared:
             continue
-        work = col
+        col = coboundaries[idx]
+        # most columns keep their earliest coface as pivot: no set is built
+        if col and col[0] not in owner:
+            owner[col[0]] = col
+            pairs.append((idx, col[0]))
+            continue
+        work = set(col)
         while work:
-            low = max(work)
+            low = min(work)
             other = owner.get(low)
             if other is None:
                 owner[low] = work
-                pivot_of[low] = idx
+                pairs.append((idx, low))
                 break
-            work = work ^ other
+            work.symmetric_difference_update(other)
         else:
-            zero_cols.append(idx)
-    return pivot_of, zero_cols
+            zeros.append(idx)
+    return pairs, zeros
 
 
 def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
-    """Persistence diagrams of the filtration via boundary-matrix reduction.
+    """Persistence diagrams of the filtration via persistent cohomology.
 
-    Dimension 0 uses a union-find merge pass; dimensions 1 and 2 use
-    column reduction over Z/2 with the clearing shortcut (columns whose
-    simplex was already killed from above are skipped). Pairs with equal
-    birth and death are dropped; unkilled classes of dimension <= max_dim
-    get death = inf.
+    One pass over the simplices checks the filtration (canonical order,
+    strictly increasing vertices, zero-valued vertices, values within the
+    threshold, dimension at most max_dim + 1, every facet present
+    earlier) and records each simplex's cofaces. Dimension 0 uses a
+    union-find merge pass over the edges; each dimension q = 1..max_dim
+    then reduces the coboundary columns of its q-simplices over Z/2 from
+    the latest to the earliest, skipping the q-simplices that already
+    died in dimension q - 1 (clearing). Over a field this gives the same
+    pairs as reducing boundary matrices. Pairs with equal birth and death
+    are dropped; unkilled classes of dimension <= max_dim get death = inf.
     """
-    _validate_filtration(f)
-
-    verts_q: dict[int, list[tuple[int, ...]]] = {0: [], 1: [], 2: [], 3: []}
-    vals_q: dict[int, list[float]] = {0: [], 1: [], 2: [], 3: []}
-    pos_q: dict[int, dict[tuple[int, ...], int]] = {0: {}, 1: {}, 2: {}, 3: {}}
-    for s in f.simplices:
-        q = len(s.vertices) - 1
-        pos_q[q][s.vertices] = len(verts_q[q])
-        verts_q[q].append(s.vertices)
-        vals_q[q].append(s.value)
+    top = f.max_dim + 1
+    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(top)]
+    values: list[list[float]] = [[] for _ in range(top + 1)]
+    coboundaries: list[list[list[int]]] = [[] for _ in range(top)]
+    edges: list[list[int]] = []
+    prev_key: tuple | None = None
+    for verts, value in f.simplices:
+        q = len(verts) - 1
+        if q > top:
+            raise InternalInvariantError(f"simplex {verts} exceeds dimension {top}")
+        if not all(map(operator.lt, verts, verts[1:])):
+            raise InternalInvariantError(f"vertices not strictly increasing: {verts}")
+        if q == 0 and value != 0.0:
+            raise InternalInvariantError(f"vertex {verts} has nonzero value {value}")
+        if not value <= f.threshold:  # also rejects a NaN value or threshold
+            raise InternalInvariantError(f"simplex {verts} value {value} above threshold")
+        key = (value, q, verts)
+        if prev_key is not None and key <= prev_key:
+            raise InternalInvariantError(f"filtration order violated at {verts}")
+        prev_key = key
+        own = len(values[q])
+        if q:
+            # canonical order puts a face first iff its value is <= the coface's
+            facets = _facets(verts)
+            faces = index[q - 1]
+            pos = [faces.get(face) for face in facets]
+            if None in pos:
+                face = facets[pos.index(None)]
+                raise InternalInvariantError(f"face {face} of {verts} missing or after coface")
+            if q == 1:
+                edges.append(pos)
+            else:
+                below = coboundaries[q - 1]
+                for j in pos:
+                    below[j].append(own)
+        values[q].append(value)
+        if q < top:
+            index[q][verts] = own
+            coboundaries[q].append([])
 
     diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
 
     # dimension 0: elder rule is trivial because every vertex is born at 0
-    uf = _UnionFind(len(verts_q[0]))
-    cycle_edges: list[int] = []
-    for e_idx, (u, v) in enumerate(verts_q[1]):
+    uf = _UnionFind(len(values[0]))
+    died: set[int] = set()
+    for e_idx, (u, v) in enumerate(edges):
         if uf.union(u, v):
-            death = vals_q[1][e_idx]
-            if death > 0.0:
-                diagrams[0].append((0.0, death))
-        else:
-            cycle_edges.append(e_idx)
-    components = sum(1 for i in range(len(verts_q[0])) if uf.find(i) == i)
+            died.add(e_idx)
+            if values[1][e_idx] > 0.0:
+                diagrams[0].append((0.0, values[1][e_idx]))
+    components = sum(1 for i in range(len(values[0])) if uf.find(i) == i)
     diagrams[0].extend((0.0, math.inf) for _ in range(components))
 
-    cleared: set[int] = set()
-    if f.max_dim >= 2 and verts_q[3]:
-        tri_pos = pos_q[2]
-        cols3 = [{tri_pos[face] for face in _facets(verts)} for verts in verts_q[3]]
-        pivots3, _ = _reduce_columns(cols3)
-        for tri_idx, tet_idx in pivots3.items():
-            birth, death = vals_q[2][tri_idx], vals_q[3][tet_idx]
+    for q in range(1, f.max_dim + 1):
+        pairs, zeros = _reduce_coboundaries(coboundaries[q], died)
+        died = set()
+        for idx, pivot in pairs:
+            birth, death = values[q][idx], values[q + 1][pivot]
             if death > birth:
-                diagrams[2].append((birth, death))
-            cleared.add(tri_idx)
-
-    paired_edges: set[int] = set()
-    if f.max_dim >= 1 and verts_q[2]:
-        edge_pos = pos_q[1]
-        cols2 = [
-            None if idx in cleared else {edge_pos[face] for face in _facets(verts)}
-            for idx, verts in enumerate(verts_q[2])
-        ]
-        pivots2, zero2 = _reduce_columns(cols2)
-        for edge_idx, tri_idx in pivots2.items():
-            birth, death = vals_q[1][edge_idx], vals_q[2][tri_idx]
-            if death > birth:
-                diagrams[1].append((birth, death))
-            paired_edges.add(edge_idx)
-        if f.max_dim >= 2:
-            diagrams[2].extend((vals_q[2][tri_idx], math.inf) for tri_idx in zero2)
-
-    if f.max_dim >= 1:
-        diagrams[1].extend(
-            (vals_q[1][e_idx], math.inf) for e_idx in cycle_edges if e_idx not in paired_edges
-        )
+                diagrams[q].append((birth, death))
+            died.add(pivot)
+        diagrams[q].extend((values[q][idx], math.inf) for idx in zeros)
 
     final = {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
     return PersistenceDiagramSet(final, f.threshold, f.max_dim)

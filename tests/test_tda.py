@@ -1,10 +1,13 @@
 """Delay embedding, Rips filtrations and persistence against independent oracles.
 
-Three routes cross-check each other here:
-* compute_persistence (union-find + column reduction with clearing),
+Four routes cross-check each other here:
+* compute_persistence (union-find + coboundary reduction with clearing),
 * betti_numbers_at (rank-nullity over Z/2 inside the package),
 * a dense numpy Gaussian elimination over Z/2 written in this file,
-  sharing no code with either of the above.
+  sharing no code with either of the above,
+* a boundary-matrix reduction written in this file (homology, pivot =
+  latest face, clearing from the top dimension down), whose diagrams
+  must equal compute_persistence's exactly.
 Plus scipy's minimum spanning tree as the oracle for finite H0 deaths.
 """
 
@@ -32,6 +35,8 @@ from toporisk import (
     compute_persistence,
     delay_embed,
     distance_matrix,
+    load_price_csv,
+    preprocess,
     write_diagram_csv,
 )
 
@@ -87,6 +92,49 @@ def dense_betti(f: Filtration, epsilon: float) -> list[int]:
                 mat[index[q - 1][face], col] = 1
         ranks[q] = dense_gf2_rank(mat)
     return [len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(f.max_dim + 1)]
+
+
+# --- independent pairing oracle: boundary-matrix reduction, no shared code ---
+
+
+def boundary_reduction_diagrams(f: Filtration) -> dict[int, tuple[tuple[float, float], ...]]:
+    """Persistence diagrams by Z/2 reduction of boundary columns.
+
+    Columns are sets of face positions and a column's pivot is its
+    latest face. Dimensions are reduced from max_dim + 1 down to 1; a
+    column whose simplex is a pivot of the dimension above is skipped
+    (cleared), since it reduces to zero. H0 comes from the edge columns.
+    """
+    by_dim: dict[int, list[tuple[tuple[int, ...], float]]] = {q: [] for q in range(f.max_dim + 2)}
+    for s in f.simplices:
+        by_dim[len(s.vertices) - 1].append((s.vertices, s.value))
+    position = {q: {v: i for i, (v, _) in enumerate(by_dim[q])} for q in by_dim}
+
+    diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
+    cleared: set[int] = set()
+    for q in range(f.max_dim + 1, 0, -1):
+        owner: dict[int, set[int]] = {}
+        for col_idx, (verts, value) in enumerate(by_dim[q]):
+            if col_idx in cleared:
+                continue
+            work = {position[q - 1][verts[:i] + verts[i + 1 :]] for i in range(len(verts))}
+            while work:
+                low = max(work)
+                if low not in owner:
+                    owner[low] = work
+                    birth = by_dim[q - 1][low][1]
+                    if value > birth:
+                        diagrams[q - 1].append((birth, value))
+                    break
+                work = work ^ owner[low]
+            else:
+                if q <= f.max_dim:
+                    diagrams[q].append((value, math.inf))
+        cleared = set(owner)
+    diagrams[0].extend(
+        (value, math.inf) for i, (_, value) in enumerate(by_dim[0]) if i not in cleared
+    )
+    return {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
 
 
 # --- delay embedding ---
@@ -292,11 +340,143 @@ def test_malformed_filtrations_rejected():
     with pytest.raises(InternalInvariantError):
         compute_persistence(above_threshold)
 
+    # a NaN edge would merge its vertices yet leave no H0 pair; a NaN
+    # threshold would admit every value
+    nan_value = Filtration(
+        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), math.nan)), 1.0, 0
+    )
+    nan_threshold = Filtration(
+        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 5.0)), math.nan, 0
+    )
+    for f in (nan_value, nan_threshold):
+        with pytest.raises(InternalInvariantError, match="threshold"):
+            compute_persistence(f)
+
     bad_vertex_order = Filtration(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((1, 0), 1.0)), 1.0, 0
     )
     with pytest.raises(InternalInvariantError):
         compute_persistence(bad_vertex_order)
+
+    verts3 = tuple(Simplex((i,), 0.0) for i in range(3))
+    face_above_coface = Filtration(
+        verts3
+        + (
+            Simplex((0, 1), 1.0),
+            Simplex((0, 2), 1.0),
+            Simplex((0, 1, 2), 1.5),
+            Simplex((1, 2), 2.0),
+        ),
+        2.0,
+        1,
+    )
+    with pytest.raises(InternalInvariantError, match="face"):
+        compute_persistence(face_above_coface)
+
+    edge_over_missing_vertex = Filtration(
+        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), 1.0)), 1.0, 0
+    )
+    with pytest.raises(InternalInvariantError, match="face"):
+        compute_persistence(edge_over_missing_vertex)
+
+    duplicate = Filtration(
+        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0), Simplex((0, 1), 1.0)),
+        1.0,
+        0,
+    )
+    with pytest.raises(InternalInvariantError):
+        compute_persistence(duplicate)
+
+    verts4 = tuple(Simplex((i,), 0.0) for i in range(4))
+    edges4 = tuple(Simplex(e, 1.0) for e in itertools.combinations(range(4), 2))
+    tris4 = tuple(Simplex(t, 1.0) for t in itertools.combinations(range(4), 3))
+    tet = (Simplex((0, 1, 2, 3), 1.0),)
+    with pytest.raises(InternalInvariantError):
+        compute_persistence(Filtration(verts4 + edges4 + tris4[:3] + tet, 1.0, 1))
+    with pytest.raises(InternalInvariantError, match="face"):
+        compute_persistence(Filtration(verts4 + edges4 + tris4[:3] + tet, 1.0, 2))
+    # the same tetrahedron with all four triangles is still one dimension too many
+    with pytest.raises(InternalInvariantError, match="exceeds dimension"):
+        compute_persistence(Filtration(verts4 + edges4 + tris4 + tet, 1.0, 1))
+
+
+def test_vertex_labels_need_not_be_contiguous():
+    f = Filtration((Simplex((0,), 0.0), Simplex((5,), 0.0), Simplex((0, 5), 1.0)), 1.0, 0)
+    d = compute_persistence(f)
+    assert d.diagrams[0] == ((0.0, 1.0), (0.0, math.inf))
+    assert betti_numbers_at(f, 1.0) == [1]
+
+    # a triangle's boundary on labels 3, 7, 11 plus a lone vertex 20
+    loop = Filtration(
+        (
+            Simplex((3,), 0.0),
+            Simplex((7,), 0.0),
+            Simplex((11,), 0.0),
+            Simplex((20,), 0.0),
+            Simplex((3, 7), 1.0),
+            Simplex((7, 11), 1.0),
+            Simplex((3, 11), 2.0),
+            Simplex((3, 7, 11), 3.0),
+        ),
+        3.0,
+        1,
+    )
+    d = compute_persistence(loop)
+    assert d.diagrams == boundary_reduction_diagrams(loop)
+    for eps in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        alive = [sum(1 for b, dth in d.diagrams[q] if b <= eps < dth) for q in range(2)]
+        assert alive == betti_numbers_at(loop, eps)
+
+
+def tie_heavy_cloud(rng: random.Random, kind: int) -> PointCloud:
+    """Uniform points, a noisy circle (H1) or a noisy octahedron (H2), on a 0.1 grid.
+
+    Rounding to the grid makes many distances equal, so ties in value
+    between simplices are common.
+    """
+    if kind == 0:
+        dim = rng.randint(1, 3)
+        raw = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 11))]
+    elif kind == 1:
+        n = rng.randint(4, 10)
+        angles = [2 * math.pi * k / n for k in range(n)]
+        centres = [(math.cos(a), math.sin(a)) for a in angles]
+        raw = [[c + rng.uniform(-0.15, 0.15) for c in centre] for centre in centres]
+    else:
+        centres = [tuple(sign * (axis == i) for i in range(3)) for axis in range(3) for sign in (1, -1)]
+        raw = [[c + rng.uniform(-0.15, 0.15) for c in centre] for centre in centres]
+        raw += [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(rng.randint(0, 3))]
+    return PointCloud(np.round(np.array(raw), 1))
+
+
+def test_pairing_matches_boundary_reduction_oracle():
+    rng = random.Random(41)
+    nonempty = [0, 0, 0]
+    for trial in range(240):
+        max_dim = trial % 3
+        dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
+        n = dm.n
+        if trial % 2 and n > 1:
+            dists = dm.entries[np.triu_indices(n, 1)]
+            threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
+        else:
+            threshold = None
+        f = build_rips_filtration(dm, max_dim, threshold)
+        diagrams = compute_persistence(f).diagrams
+        assert diagrams == boundary_reduction_diagrams(f)
+        for q, pairs in diagrams.items():
+            nonempty[q] += bool(pairs)
+    # every dimension is exercised, not just H0
+    assert min(nonempty) >= 10, nonempty
+
+
+def test_pairing_matches_oracle_on_fixture_at_5_percent(synthetic_csv):
+    cloud = delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1)
+    dm = distance_matrix(cloud)
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    f = build_rips_filtration(dm, 2, threshold)
+    assert sum(1 for s in f.simplices if len(s.vertices) == 4) == 22529
+    assert compute_persistence(f).diagrams == boundary_reduction_diagrams(f)
 
 
 def test_pairing_matches_betti_numbers():
