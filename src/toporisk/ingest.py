@@ -143,10 +143,15 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
         parts = line.split(",")
         if len(parts) != 2:
             raise RowError(line_no, f"expected 2 fields, got {len(parts)}")
+        field = parts[0].strip()
         try:
-            day = dt.date.fromisoformat(parts[0].strip())
+            day = dt.date.fromisoformat(field)
         except ValueError as exc:
             raise RowError(line_no, f"bad date {parts[0]!r}: {exc}") from exc
+        # 3.11's fromisoformat also takes 20240102 and 2024-W01-2; of its
+        # spellings only YYYY-MM-DD is 10 long with '-' at 4 and 7
+        if len(field) != 10 or field[4] != "-" or field[7] != "-":
+            raise RowError(line_no, f"bad date {parts[0]!r}: expected YYYY-MM-DD")
         try:
             close = float(parts[1])
         except ValueError as exc:

@@ -28,6 +28,7 @@ paths check each other; do not reimplement one in terms of the other.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,9 +143,11 @@ def check_max_dim(max_dim: int) -> None:
 
 
 def check_threshold(threshold: float | None) -> None:
-    """Reject a Rips scale cap that is negative or not finite; None means auto."""
-    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
-        raise ParameterError(f"threshold must be finite and >= 0, got {threshold}")
+    """Reject a Rips scale cap that is not a finite number >= 0; None means auto."""
+    if threshold is not None and not (
+        isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold >= 0
+    ):
+        raise ParameterError(f"threshold must be a finite number >= 0 or None, got {threshold!r}")
 
 
 def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> PointCloud:
@@ -185,53 +188,42 @@ def build_rips_filtration(
     """Vietoris-Rips filtration: every simplex whose diameter fits the scale.
 
     Enumerates simplices of dimension <= max_dim + 1 with value = max
-    pairwise distance among the vertices. ``threshold`` of None (or the
-    string "auto") means the maximum matrix entry, which guarantees the
-    dimension-0 merge tree completes; note the dimension-3 enumeration is
-    O(n^4) at that scale, so large clouds want an explicit threshold.
+    pairwise distance among the vertices, by clique expansion (Zomorodian,
+    "Fast construction of the Vietoris-Rips complex", 2010): each step
+    extends every simplex by each vertex above its last one that is within
+    the threshold of all its vertices, valued at the max of the old value
+    and the new distances. ``np.nonzero`` scans row by row, so dimensions
+    come out one after another, each in lexicographic vertex order, and one
+    stable sort by value gives the canonical (value, dimension, vertices)
+    order. ``threshold`` of None means the maximum matrix entry, which
+    guarantees the dimension-0 merge tree completes; note the dimension-3
+    enumeration is O(n^4) at that scale, so large clouds want an explicit
+    threshold.
     """
     entries = _dm_entries(dm)
     n = entries.shape[0]
     check_max_dim(max_dim)
-    if threshold is None or (isinstance(threshold, str) and threshold.lower() == "auto"):
-        thr = float(entries.max()) if n > 1 else 0.0
-    else:
-        thr = float(threshold)
-        check_threshold(thr)
-
-    simplices: list[Simplex] = [Simplex((i,), 0.0) for i in range(n)]
+    check_threshold(threshold)
+    thr = float(entries.max(initial=0.0) if threshold is None else threshold)
 
     adj = entries <= thr
-    np.fill_diagonal(adj, False)
-    ii, jj = np.nonzero(np.triu(adj, 1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        simplices.append(Simplex((i, j), float(entries[i, j])))
+    ids = np.arange(n)
+    verts, vals = ids[:, None], np.zeros(n)
+    simplices: list[Simplex] = [Simplex((i,), 0.0) for i in range(n)]
+    for _ in range(max_dim + 1):
+        common = verts[:, -1:] < ids
+        for col in verts.T:
+            common &= adj[col]
+        rows, ks = np.nonzero(common)
+        # free the mask before the new arrays: left alive, its heap pages
+        # raised peak RSS by ~3 MB on a 141-point, 36k-tetrahedron cloud
+        del common
+        verts = verts[rows]
+        vals = np.maximum(vals[rows], entries[verts, ks[:, None]].max(axis=1))
+        verts = np.column_stack((verts, ks))
+        simplices.extend(map(Simplex, zip(*verts.T.tolist()), vals.tolist()))
 
-    triangles: list[Simplex] = []
-    if max_dim + 1 >= 2:
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            # common neighbors above j keep each triangle enumerated once
-            ks = np.nonzero(adj[i, j + 1 :] & adj[j, j + 1 :])[0] + j + 1
-            if ks.size == 0:
-                continue
-            d_ij = entries[i, j]
-            vals = np.maximum(d_ij, np.maximum(entries[i, ks], entries[j, ks]))
-            for k, v in zip(ks.tolist(), vals.tolist()):
-                triangles.append(Simplex((i, j, k), float(v)))
-        simplices.extend(triangles)
-
-    if max_dim + 1 >= 3:
-        for (i, j, k), v in triangles:
-            ls = np.nonzero(adj[i, k + 1 :] & adj[j, k + 1 :] & adj[k, k + 1 :])[0] + k + 1
-            if ls.size == 0:
-                continue
-            vals = np.maximum(
-                v, np.maximum(entries[i, ls], np.maximum(entries[j, ls], entries[k, ls]))
-            )
-            for l, tv in zip(ls.tolist(), vals.tolist()):
-                simplices.append(Simplex((i, j, k, l), float(tv)))
-
-    simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
+    simplices.sort(key=operator.itemgetter(1))
     return Filtration(tuple(simplices), thr, max_dim)
 
 

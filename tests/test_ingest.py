@@ -79,6 +79,14 @@ def test_load_row_errors_carry_line_numbers():
     with pytest.raises(RowError):
         load_price_csv(io.StringIO("date,close\n2023-01-02,abc\n"))
 
+    # Python 3.11's fromisoformat reads these compact and ISO-week spellings
+    # too; the contract is YYYY-MM-DD
+    for spelling in ("20240102", "2024-W01-2", "2024W012", "2024-W01"):
+        text = f"date,close\n2024-01-01,100.0\n{spelling},101.0\n"
+        with pytest.raises(RowError) as exc_info:
+            load_price_csv(io.StringIO(text))
+        assert exc_info.value.line_no == 3
+
 
 def test_load_rejects_duplicate_dates():
     text = "date,close\n2023-01-02,100.0\n2023-01-02,101.0\n"

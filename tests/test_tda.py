@@ -8,7 +8,8 @@ Four routes cross-check each other here:
 * a boundary-matrix reduction written in this file (homology, pivot =
   latest face, clearing from the top dimension down), whose diagrams
   must equal compute_persistence's exactly.
-Plus scipy's minimum spanning tree as the oracle for finite H0 deaths.
+Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, and
+a brute-force enumeration of vertex subsets as the oracle for the Rips build.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from toporisk import (
+    AnalysisConfig,
     Filtration,
     InsufficientDataError,
     InternalInvariantError,
@@ -242,8 +244,27 @@ def test_rips_validation():
         build_rips_filtration(dm, max_dim=3)
     with pytest.raises(ParameterError):
         build_rips_filtration(dm, max_dim=2, threshold=-0.5)
-    auto = build_rips_filtration(dm + np.array([[0, 1], [1, 0]]), 1, "auto")
+    auto = build_rips_filtration(dm + np.array([[0, 1], [1, 0]]), 1, None)
     assert auto.threshold == 1.0
+    # None is the only spelling of auto, here as in AnalysisConfig and the CLI
+    for text in ("auto", "x", "0.5"):
+        with pytest.raises(ParameterError):
+            build_rips_filtration(dm, 1, text)
+        with pytest.raises(ParameterError):
+            AnalysisConfig(seed=0, threshold=text)
+
+
+def brute_force_rips(dm: np.ndarray, max_dim: int, threshold: float) -> list[tuple]:
+    """Every vertex subset of size <= max_dim + 2 within the threshold, in canonical order."""
+    n = dm.shape[0]
+    found = []
+    for size in range(1, max_dim + 3):
+        for subset in itertools.combinations(range(n), size):
+            diam = max((dm[a, b] for a, b in itertools.combinations(subset, 2)), default=0.0)
+            if diam <= threshold:
+                found.append((subset, float(diam)))
+    found.sort(key=lambda s: (s[1], len(s[0]), s[0]))
+    return found
 
 
 def test_rips_canonical_order_and_closure():
@@ -266,6 +287,25 @@ def test_rips_canonical_order_and_closure():
             pairs = itertools.combinations(s.vertices, 2)
             diam = max((dm[a, b] for a, b in pairs), default=0.0)
             assert s.value == diam
+
+    # completeness: exactly the simplices a brute-force enumeration finds
+    assert build_rips_filtration(np.zeros((0, 0)), 2, None).simplices == ()
+    assert build_rips_filtration(np.zeros((0, 0)), 1, 0.5).simplices == ()
+    for trial in range(180):
+        # every n in 1..10 at every max_dim, with auto and quantile thresholds,
+        # on a 0.1 grid so that many distances tie
+        n, max_dim, quantile = trial % 10 + 1, trial // 10 % 3, trial // 30 % 2
+        dim = rng.randint(1, 3)
+        raw = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(n)]
+        dm = distance_matrix(PointCloud(np.round(np.array(raw), 1))).entries
+        threshold = None
+        if quantile and n > 1:
+            threshold = float(np.quantile(dm[np.triu_indices(n, 1)], rng.uniform(0.0, 1.0)))
+        f = build_rips_filtration(dm, max_dim, threshold)
+        expected = brute_force_rips(dm, max_dim, f.threshold)
+        assert [(s.vertices, s.value) for s in f.simplices] == expected
+        assert all(type(v) is int for s in f.simplices for v in s.vertices)
+        assert all(type(s.value) is float for s in f.simplices)
 
 
 # --- persistence ---
