@@ -19,9 +19,13 @@ class FormatError(TopoRiskError):
 class RowError(FormatError):
     """A CSV data row could not be parsed. Carries the 1-based line number."""
 
+    # ``args`` holds the constructor's arguments, so pickling round-trips
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_no, message)
         self.line_no = line_no
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.args[1]}"
 
 
 class DuplicateDateError(TopoRiskError):
@@ -52,5 +56,10 @@ class PipelineError(TopoRiskError):
     """Wraps an upstream error with the pipeline stage where it occurred."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
+        super().__init__(stage, cause)
         self.stage = stage
+        # set here too, so the cause survives pickling, which drops __cause__
+        self.__cause__ = cause
+
+    def __str__(self) -> str:
+        return f"stage {self.stage}: {self.args[1]}"

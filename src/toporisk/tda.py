@@ -8,6 +8,14 @@ pass for dimension 0, then persistent cohomology with clearing (each
 dimension's coboundary matrix reduced from the latest simplex to the
 earliest, skipping simplices already paired in the dimension below).
 
+The filtration stays in numpy arrays from the build to the reduction:
+one vertex array and one value array per dimension. Each simplex is
+keyed in the combinatorial number system (as in Ripser: Bauer, J. Appl.
+Comput. Topol. 5, 2021), so its facets are found by ``np.searchsorted``
+on keys and the coboundary columns come from one sort, with no Python
+object per simplex. ``Simplex`` tuples are made only when a caller reads
+``Filtration.simplices``.
+
 Two deliberate reading choices are worth knowing about:
 
 * A single return series does not canonically define a point cloud.
@@ -27,12 +35,12 @@ paths check each other; do not reimplement one in terms of the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, NamedTuple, Union
+from typing import IO, Any, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -108,11 +116,51 @@ class Filtration:
     Contains every simplex of dimension <= max_dim + 1 with diameter <=
     threshold; the extra dimension supplies the cofaces that can kill
     max_dim-cycles.
+
+    ``build_rips_filtration`` stores it per dimension q = 0..max_dim + 1:
+    ``verts[q]``, a k x (q+1) int array of the q-simplices' increasing
+    vertices in canonical order, and ``vals[q]``, their values. From those,
+    ``simplices`` (one tuple of ``Simplex`` items with ``int`` vertices and
+    ``float`` values, as a caller would pass it) is derived on first read.
+    A filtration constructed from a caller's ``simplices`` tuple has
+    ``verts`` and ``vals`` None; ``compute_persistence`` converts it to the
+    same arrays and checks both kinds with one vectorized checker. The
+    arrays take no part in ``==`` or ``hash``.
     """
 
     simplices: tuple[Simplex, ...]
     threshold: float
     max_dim: int
+    verts: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    vals: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @classmethod
+    def _from_arrays(cls, verts: tuple, vals: tuple, threshold: float, max_dim: int) -> Filtration:
+        f = object.__new__(cls)
+        fields = {"threshold": threshold, "max_dim": max_dim, "verts": verts, "vals": vals}
+        for name, value in fields.items():
+            object.__setattr__(f, name, value)
+        return f
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for ``simplices`` of a filtration made from arrays
+        if name != "simplices" or self.verts is None:
+            raise AttributeError(name)
+        per_dim = [
+            s
+            for verts, vals in zip(self.verts, self.vals)
+            for s in map(Simplex, zip(*verts.T.tolist()), vals.tolist())
+        ]
+        # dimensions are concatenated in order, so a stable sort by value
+        # gives the canonical (value, dimension, vertices) order
+        order = np.argsort(np.concatenate(self.vals), kind="stable")
+        simplices = tuple(map(per_dim.__getitem__, order.tolist()))
+        object.__setattr__(self, "simplices", simplices)
+        return simplices
 
 
 @dataclass(frozen=True)
@@ -192,10 +240,10 @@ def build_rips_filtration(
     "Fast construction of the Vietoris-Rips complex", 2010): each step
     extends every simplex by each vertex above its last one that is within
     the threshold of all its vertices, valued at the max of the old value
-    and the new distances. ``np.nonzero`` scans row by row, so dimensions
-    come out one after another, each in lexicographic vertex order, and one
-    stable sort by value gives the canonical (value, dimension, vertices)
-    order. ``threshold`` of None means the maximum matrix entry, which
+    and the new distances. ``np.nonzero`` scans row by row, so each
+    dimension comes out in lexicographic vertex order, which the next step
+    extends, and a stable sort of its values stores it in canonical
+    (value, vertices) order. ``threshold`` of None means the maximum matrix entry, which
     guarantees the dimension-0 merge tree completes; note the dimension-3
     enumeration is O(n^4) at that scale, so large clouds want an explicit
     threshold.
@@ -209,7 +257,7 @@ def build_rips_filtration(
     adj = entries <= thr
     ids = np.arange(n)
     verts, vals = ids[:, None], np.zeros(n)
-    simplices: list[Simplex] = [Simplex((i,), 0.0) for i in range(n)]
+    all_verts, all_vals = [verts], [vals]
     for _ in range(max_dim + 1):
         common = verts[:, -1:] < ids
         for col in verts.T:
@@ -221,10 +269,161 @@ def build_rips_filtration(
         verts = verts[rows]
         vals = np.maximum(vals[rows], entries[verts, ks[:, None]].max(axis=1))
         verts = np.column_stack((verts, ks))
-        simplices.extend(map(Simplex, zip(*verts.T.tolist()), vals.tolist()))
+        # the next step extends the lexicographic order; the stored copy is canonical
+        order = np.argsort(vals, kind="stable")
+        all_verts.append(verts[order])
+        all_vals.append(vals[order])
 
-    simplices.sort(key=operator.itemgetter(1))
-    return Filtration(tuple(simplices), thr, max_dim)
+    return Filtration._from_arrays(tuple(all_verts), tuple(all_vals), thr, max_dim)
+
+
+def _binomial_table(n: int, k: int) -> np.ndarray:
+    """``table[v, j] = C(v, j + 1)`` for vertices v < n and key digits j < k.
+
+    Keying a (k-1)-simplex as sum C(v_i, i + 1) (the combinatorial number
+    system, as in Ripser) gives keys below C(n, k); refuses an n whose keys
+    would overflow int64, before allocating anything.
+    """
+    if math.comb(n, k) > np.iinfo(np.int64).max:
+        raise ParameterError(f"{n} points are too many for int64 simplex keys of {k} vertices")
+    table = np.empty((n, k), dtype=np.int64)
+    col = np.ones(n, dtype=np.int64)
+    for j in range(k):
+        # Pascal's rule: C(v, j + 1) is the sum of C(u, j) over u < v
+        col = np.cumsum(col) - col
+        table[:, j] = col
+    return table
+
+
+def _keys(cols: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
+    """Key sum C(v_i, i + 1) of each simplex, given as its ascending vertex columns."""
+    key = table[cols[0], 0]
+    for i in range(1, len(cols)):
+        key += table[cols[i], i]
+    return key
+
+
+def _ordered(vals: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """For each consecutive pair of rows, whether (value, vertices) strictly increases."""
+    less, tied = vals[:-1] < vals[1:], vals[:-1] == vals[1:]
+    for col in verts.T:
+        less |= tied & (col[:-1] < col[1:])
+        tied &= col[:-1] == col[1:]
+    return less
+
+
+def _to_arrays(simplices: tuple, top: int) -> tuple[list, list, np.ndarray]:
+    """A caller's simplex tuple as per-dimension arrays, vertices relabelled 0..m-1.
+
+    Checks what only the sequence shows: every simplex has a vertex, and
+    (value, dimension) never decreases along it. The relabelling keeps
+    vertex order, so the arrays satisfy the same checks as the tuple;
+    ``labels[i]`` is the caller's label of vertex i.
+    """
+    vertices, values = zip(*simplices) if simplices else ((), ())
+    sizes = np.fromiter(map(len, vertices), dtype=np.intp, count=len(vertices))
+    values = np.array(values, dtype=np.float64)
+    if np.any(sizes == 0):
+        raise InternalInvariantError("simplex () has no vertices")
+    dims = sizes - 1
+    # NaN compares false here and is rejected by the threshold check
+    back = (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & (dims[1:] < dims[:-1]))
+    if back.any():
+        first_late = vertices[np.argmax(back) + 1]
+        raise InternalInvariantError(f"filtration order violated at {first_late}")
+    # labels need only be hashable and ordered, as sorted vertex tuples are
+    flat = list(itertools.chain.from_iterable(vertices))
+    labels = sorted(set(flat))
+    rank = {label: i for i, label in enumerate(labels)}
+    relabelled = np.fromiter(map(rank.__getitem__, flat), dtype=np.intp, count=len(flat))
+    labels = np.array(labels, dtype=object)
+    first = np.cumsum(sizes) - sizes
+    verts, vals = [], []
+    for q in range(max(top, int(dims.max(initial=0))) + 1):
+        idx = np.flatnonzero(dims == q)
+        verts.append(relabelled[first[idx, None] + np.arange(q + 1)])
+        vals.append(values[idx])
+    return verts, vals, labels
+
+
+def _facet_positions(
+    verts: Sequence[np.ndarray],
+    vals: Sequence[np.ndarray],
+    threshold: float,
+    top: int,
+    labels: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Check a filtration's per-dimension arrays and locate every facet.
+
+    Checks, one dimension at a time: dimension at most ``top``, values
+    within the threshold, zero-valued vertices, strictly increasing
+    vertices, canonical (value, vertices) order, no duplicates, and every
+    facet present and valued at or below its coface. Returns ``facets``
+    with ``facets[q][i, j]`` the position among the (q-1)-simplices of
+    q-simplex i's facet without vertex j, for q = 1..top. ``labels`` maps
+    array vertices back to the caller's for messages.
+    """
+
+    def name(row: np.ndarray) -> tuple[int, ...]:
+        return tuple((row if labels is None else labels[row]).tolist())
+
+    def fail(message: str, q: int, bad: np.ndarray) -> None:
+        if bad.any():
+            raise InternalInvariantError(message.format(name(verts[q][np.argmax(bad)])))
+
+    if len(verts) > top + 1:
+        raise InternalInvariantError(f"simplex {name(verts[-1][0])} exceeds dimension {top}")
+    table = _binomial_table(1 + max((int(v.max()) for v in verts if v.size), default=0), len(verts))
+    facets: list[np.ndarray] = [np.empty((len(verts[0]), 0), dtype=np.intp)]
+    for q, (v, x) in enumerate(zip(verts, vals)):
+        # ``not <=`` also rejects a NaN value or threshold
+        fail(f"simplex {{}} value above threshold {threshold}", q, ~(x <= threshold))
+        if q == 0:
+            fail("vertex {} has nonzero value", q, x != 0.0)
+        fail("vertices not strictly increasing: {}", q, np.any(v[:, 1:] <= v[:, :-1], axis=1))
+        fail("filtration order violated at {}", q, np.append(False, ~_ordered(x, v)))
+        keys = _keys(v.T, table)
+        order = np.argsort(keys)
+        keys = keys[order]
+        duplicate = np.zeros(len(v), dtype=bool)
+        duplicate[order[1:]] = keys[1:] == keys[:-1]
+        fail("duplicate simplex {}", q, duplicate)
+        if q:
+            # a padded slot past the end matches no key and has an infinite value
+            padded_keys, padded_order = np.append(below_keys, -1), np.append(below_order, -1)
+            padded_vals = np.append(vals[q - 1], np.inf)
+            pos = np.empty(v.shape, dtype=np.intp)
+            for j in range(q + 1):
+                face_keys = _keys([v[:, i] for i in range(q + 1) if i != j], table)
+                loc = np.searchsorted(below_keys, face_keys)
+                pos[:, j] = padded_order[loc]
+                ok = (padded_keys[loc] == face_keys) & (padded_vals[pos[:, j]] <= x)
+                if not ok.all():
+                    row = v[np.argmax(~ok)]
+                    face = name(np.delete(row, j))
+                    raise InternalInvariantError(
+                        f"face {face} of {name(row)} missing or after coface"
+                    )
+            facets.append(pos)
+        below_keys, below_order = keys, order
+    return facets
+
+
+def _coboundaries(facets: np.ndarray, count: int) -> list[list[int]]:
+    """Cofaces of each of ``count`` simplices, ascending, from the cofaces' facet positions.
+
+    The CSR form: a stable sort of the raveled facet positions lists each
+    simplex's cofaces together in ascending order, because rows ascend
+    along the ravel.
+    """
+    faces = facets.ravel()
+    order = np.argsort(faces, kind="stable")
+    # one int object per coface, shared by the lists of all its facets
+    cofaces = np.arange(len(facets)).astype(object)[order // facets.shape[1]].tolist()
+    starts = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(faces, minlength=count), out=starts[1:])
+    bounds = starts.tolist()
+    return [cofaces[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -295,79 +494,50 @@ def _reduce_coboundaries(
 def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     """Persistence diagrams of the filtration via persistent cohomology.
 
-    One pass over the simplices checks the filtration (canonical order,
-    strictly increasing vertices, zero-valued vertices, values within the
-    threshold, dimension at most max_dim + 1, every facet present
-    earlier) and records each simplex's cofaces. Dimension 0 uses a
-    union-find merge pass over the edges; each dimension q = 1..max_dim
-    then reduces the coboundary columns of its q-simplices over Z/2 from
-    the latest to the earliest, skipping the q-simplices that already
-    died in dimension q - 1 (clearing). Over a field this gives the same
-    pairs as reducing boundary matrices. Pairs with equal birth and death
-    are dropped; unkilled classes of dimension <= max_dim get death = inf.
+    Works on the per-dimension arrays: the builder's, or those converted
+    from a caller's ``simplices`` tuple. One vectorized check covers both
+    (canonical order, strictly increasing vertices, zero-valued vertices,
+    values within the threshold, dimension at most max_dim + 1, no
+    duplicates, every facet present and valued at or below its coface)
+    and locates each facet by its combinatorial-number-system key.
+    Dimension 0 uses a union-find merge pass over the edges; each
+    dimension q = 1..max_dim then reduces the coboundary columns of its
+    q-simplices over Z/2 from the latest to the earliest, skipping the
+    q-simplices that already died in dimension q - 1 (clearing). Over a
+    field this gives the same pairs as reducing boundary matrices. Pairs
+    with equal birth and death are dropped; unkilled classes of dimension
+    <= max_dim get death = inf.
     """
+    check_max_dim(f.max_dim)
     top = f.max_dim + 1
-    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(top)]
-    values: list[list[float]] = [[] for _ in range(top + 1)]
-    coboundaries: list[list[list[int]]] = [[] for _ in range(top)]
-    edges: list[list[int]] = []
-    prev_key: tuple | None = None
-    for verts, value in f.simplices:
-        q = len(verts) - 1
-        if q > top:
-            raise InternalInvariantError(f"simplex {verts} exceeds dimension {top}")
-        if not all(map(operator.lt, verts, verts[1:])):
-            raise InternalInvariantError(f"vertices not strictly increasing: {verts}")
-        if q == 0 and value != 0.0:
-            raise InternalInvariantError(f"vertex {verts} has nonzero value {value}")
-        if not value <= f.threshold:  # also rejects a NaN value or threshold
-            raise InternalInvariantError(f"simplex {verts} value {value} above threshold")
-        key = (value, q, verts)
-        if prev_key is not None and key <= prev_key:
-            raise InternalInvariantError(f"filtration order violated at {verts}")
-        prev_key = key
-        own = len(values[q])
-        if q:
-            # canonical order puts a face first iff its value is <= the coface's
-            facets = _facets(verts)
-            faces = index[q - 1]
-            pos = [faces.get(face) for face in facets]
-            if None in pos:
-                face = facets[pos.index(None)]
-                raise InternalInvariantError(f"face {face} of {verts} missing or after coface")
-            if q == 1:
-                edges.append(pos)
-            else:
-                below = coboundaries[q - 1]
-                for j in pos:
-                    below[j].append(own)
-        values[q].append(value)
-        if q < top:
-            index[q][verts] = own
-            coboundaries[q].append([])
+    if f.verts is None:
+        verts, vals, labels = _to_arrays(f.simplices, top)
+    else:
+        verts, vals, labels = f.verts, f.vals, None
+    facets = _facet_positions(verts, vals, f.threshold, top, labels)
 
     diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
 
     # dimension 0: elder rule is trivial because every vertex is born at 0
-    uf = _UnionFind(len(values[0]))
+    uf = _UnionFind(len(vals[0]))
     died: set[int] = set()
-    for e_idx, (u, v) in enumerate(edges):
+    edge_vals = vals[1].tolist()
+    for e_idx, (u, v) in enumerate(facets[1].tolist()):
         if uf.union(u, v):
             died.add(e_idx)
-            if values[1][e_idx] > 0.0:
-                diagrams[0].append((0.0, values[1][e_idx]))
-    components = sum(1 for i in range(len(values[0])) if uf.find(i) == i)
+            if edge_vals[e_idx] > 0.0:
+                diagrams[0].append((0.0, edge_vals[e_idx]))
+    components = sum(1 for i in range(len(vals[0])) if uf.find(i) == i)
     diagrams[0].extend((0.0, math.inf) for _ in range(components))
 
     for q in range(1, f.max_dim + 1):
-        pairs, zeros = _reduce_coboundaries(coboundaries[q], died)
-        died = set()
-        for idx, pivot in pairs:
-            birth, death = values[q][idx], values[q + 1][pivot]
-            if death > birth:
-                diagrams[q].append((birth, death))
-            died.add(pivot)
-        diagrams[q].extend((values[q][idx], math.inf) for idx in zeros)
+        pairs, zeros = _reduce_coboundaries(_coboundaries(facets[q + 1], len(vals[q])), died)
+        idx, pivots = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        births, deaths = vals[q][idx], vals[q + 1][pivots]
+        alive = deaths > births
+        diagrams[q].extend(zip(births[alive].tolist(), deaths[alive].tolist()))
+        diagrams[q].extend((birth, math.inf) for birth in vals[q][zeros].tolist())
+        died = set(pivots.tolist())
 
     final = {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
     return PersistenceDiagramSet(final, f.threshold, f.max_dim)

@@ -41,6 +41,7 @@ from toporisk import (
     preprocess,
     write_diagram_csv,
 )
+from toporisk import tda
 
 SQRT2 = math.sqrt(2.0)
 
@@ -440,6 +441,54 @@ def test_malformed_filtrations_rejected():
         compute_persistence(Filtration(verts4 + edges4 + tris4 + tet, 1.0, 1))
 
 
+def test_filtration_max_dim_out_of_range_rejected():
+    for max_dim in (-1, 3):
+        with pytest.raises(ParameterError, match="max_dim"):
+            compute_persistence(Filtration((Simplex((0,), 0.0),), 1.0, max_dim))
+
+
+def test_caller_tuples_checked_like_builder_arrays():
+    verts2 = (Simplex((0,), 0.0), Simplex((1,), 0.0))
+    # the same edge twice, at different values, is still a duplicate
+    twice = Filtration(verts2 + (Simplex((0, 1), 1.0), Simplex((0, 1), 2.0)), 2.0, 0)
+    with pytest.raises(InternalInvariantError, match="duplicate"):
+        compute_persistence(twice)
+    with pytest.raises(InternalInvariantError, match="no vertices"):
+        compute_persistence(Filtration(verts2 + (Simplex((), 0.0),), 1.0, 0))
+    # out of canonical order, though every facet precedes its coface:
+    # tied edges out of vertex order, and a vertex after an edge of equal value
+    verts3 = verts2 + (Simplex((2,), 0.0),)
+    tied = verts3 + (Simplex((1, 2), 1.0), Simplex((0, 1), 1.0))
+    late_vertex = verts2 + (Simplex((0, 1), 0.0), Simplex((2,), 0.0))
+    for simplices in (tied, late_vertex):
+        with pytest.raises(InternalInvariantError, match="order violated"):
+            compute_persistence(Filtration(simplices, 1.0, 0))
+    # labels far beyond the vertex count, or not integers, are relabelled before keying
+    big = 10**15
+    far = Filtration((Simplex((-7,), 0.0), Simplex((big,), 0.0), Simplex((-7, big), 1.0)), 1.0, 1)
+    assert compute_persistence(far).diagrams == {0: ((0.0, 1.0), (0.0, math.inf)), 1: ()}
+    near = Filtration(
+        (Simplex((0.2,), 0.0), Simplex((0.7,), 0.0), Simplex((0.2, 0.7), 1.0)), 1.0, 0
+    )
+    assert compute_persistence(near).diagrams == {0: ((0.0, 1.0), (0.0, math.inf))}
+    # messages name the caller's labels
+    with pytest.raises(InternalInvariantError, match=rf"face \(10, {big}\) of \(-7, 10, {big}\)"):
+        compute_persistence(Filtration(far.simplices + (Simplex((-7, 10, big), 1.0),), 1.0, 1))
+
+
+def test_simplex_keys_refuse_int64_overflow():
+    # the largest point count whose tetrahedron keys, all below C(n, 4), fit in int64
+    n = 100_000
+    while math.comb(n + 1, 4) <= np.iinfo(np.int64).max:
+        n += 1
+    table = tda._binomial_table(n, 4)
+    assert table[-1].tolist() == [math.comb(n - 1, k) for k in (1, 2, 3, 4)]
+    with pytest.raises(ParameterError, match=str(n + 1)):
+        tda._binomial_table(n + 1, 4)
+    # three-vertex keys fit far beyond that
+    assert tda._binomial_table(n + 1, 3)[-1, 2] == math.comb(n, 3)
+
+
 def test_vertex_labels_need_not_be_contiguous():
     f = Filtration((Simplex((0,), 0.0), Simplex((5,), 0.0), Simplex((0, 5), 1.0)), 1.0, 0)
     d = compute_persistence(f)
@@ -502,8 +551,11 @@ def test_pairing_matches_boundary_reduction_oracle():
         else:
             threshold = None
         f = build_rips_filtration(dm, max_dim, threshold)
-        diagrams = compute_persistence(f).diagrams
+        result = compute_persistence(f)
+        diagrams = result.diagrams
         assert diagrams == boundary_reduction_diagrams(f)
+        # a caller's tuple of the same simplices takes the conversion path
+        assert compute_persistence(Filtration(f.simplices, f.threshold, f.max_dim)) == result
         for q, pairs in diagrams.items():
             nonempty[q] += bool(pairs)
     # every dimension is exercised, not just H0
