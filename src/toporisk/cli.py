@@ -69,12 +69,21 @@ def _atomic_write(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write text to --output atomically, or to stdout without it."""
-    if args.output:
-        _atomic_write(Path(args.output), text)
-    else:
+def _emit(args: argparse.Namespace, text: str) -> bool:
+    """Write text to --output atomically, or to stdout without it.
+
+    Returns False, after printing its error line, when --output cannot be
+    written (a directory, a path through a file, no permission).
+    """
+    if not args.output:
         print(text, end="")
+        return True
+    try:
+        _atomic_write(Path(args.output), text)
+    except OSError as exc:
+        _report_error(Path(args.output), exc)
+        return False
+    return True
 
 
 def _fmt(x: float) -> str:
@@ -168,8 +177,8 @@ def cmd_var(args: argparse.Namespace) -> int:
         lines = ["ticker,var,cvar"]
         lines.extend(f"{t},{_fmt(r.var)},{_fmt(r.cvar)}" for t, r in rows)
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    return 1 if failed else 0
+    written = _emit(args, text)
+    return 0 if written and not failed else 1
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -190,12 +199,12 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     if failed:
         return 1
     if args.format == "json":
-        _emit(args, json.dumps(_diagrams_json(results[0]), indent=2) + "\n")
+        text = json.dumps(_diagrams_json(results[0]), indent=2) + "\n"
     else:
         buf = io.StringIO()
         write_diagram_csv(results[0], buf)
-        _emit(args, buf.getvalue())
-    return 0
+        text = buf.getvalue()
+    return 0 if _emit(args, text) else 1
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -5,6 +5,17 @@ ISO-8601 date (``YYYY-MM-DD``) and one decimal close per row, LF or CRLF
 line endings. Rows are sorted by date on load; duplicate dates are
 rejected rather than averaged so data problems surface early.
 
+Loading takes two paths with one outcome. A strict pass reads a
+well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``)
+with numpy and C-level maps, no Python statement per row: it checks the
+layout on the bytes, converts with ``date.fromisoformat`` and ``float``
+as the per-line rules do, and checks finiteness, sign, order and
+duplicates on arrays. Any body it does not accept, for whatever reason,
+goes to the per-line rules, which accept what they accept (CR endings,
+blank lines, padded fields, non-ASCII digits) and raise at the first
+failing line. They are the only code that raises for a row, so the
+error class, line number and message never depend on the path taken.
+
 Returns are computed on the min-max normalized series, so the observation
 at the price minimum maps to 0 and the return that divides by it is
 dropped (and counted) instead of producing an infinity.
@@ -119,6 +130,13 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     When ``ticker`` is omitted it defaults to the file stem (or "series"
     for anonymous streams).
 
+    A well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``
+    with valid, unique dates and finite closes > 0) is read in one
+    vectorized pass. Any other body goes to the per-line rules, which
+    accept what they accept and raise at the first failing line; they are
+    the only code that raises for a row, so both paths give the same
+    series, and every error is the per-line one.
+
     Raises:
         FormatError: bytes that are not UTF-8, or a missing or wrong header.
         RowError: a data row that does not parse (carries its line number).
@@ -129,14 +147,60 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     if ticker is None:
         ticker = stem or "series"
 
-    lines = text.split("\n")
-    if not lines or lines[0].rstrip("\r") != CSV_HEADER:
-        got = lines[0].rstrip("\r") if lines else ""
-        raise FormatError(f"expected header {CSV_HEADER!r}, got {got!r}")
+    header, _, body = text.partition("\n")
+    header = header.rstrip("\r")
+    if header != CSV_HEADER:
+        raise FormatError(f"expected header {CSV_HEADER!r}, got {header!r}")
 
+    dates, closes = _strict_rows(body) or _checked_rows(body.split("\n"))
+    return PriceSeries(ticker=ticker, dates=dates, closes=closes)
+
+
+def _strict_rows(body: str) -> tuple[tuple[dt.date, ...], np.ndarray] | None:
+    """Rows of a well-formed body sorted by date, or None for any other body.
+
+    None means only "not shown well-formed here": the caller then applies
+    the per-line rules, which find and report the failure, if any.
+    """
+    core = body[:-1] if body.endswith("\n") else body
+    if not core.isascii() or "\r" in core:
+        return None
+    b = np.frombuffer(core.encode("ascii"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(b == ord("\n")), b.shape[0])
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(b == ord(","))
+    # one comma per line, at offset 10 inside the line, so the split below
+    # yields exactly the (date, close) pairs; blank lines fail here too
+    if commas.shape != starts.shape or not np.array_equal(commas, starts + 10):
+        return None
+    dashes = (b[starts + 4] == ord("-")) & (b[starts + 7] == ord("-"))
+    if (commas >= ends).any() or not dashes.all():
+        return None
+    fields = core.replace(",", "\n").split("\n")
+    try:
+        days = list(map(dt.date.fromisoformat, fields[0::2]))
+        closes = np.array(list(map(float, fields[1::2])), dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(closes) & (closes > 0.0)).all():
+        return None
+    ordinals = np.fromiter(map(dt.date.toordinal, days), dtype=np.int64, count=len(days))
+    if (np.diff(ordinals) > 0).all():
+        return tuple(days), closes
+    order = np.argsort(ordinals, kind="stable")
+    if (np.diff(ordinals[order]) == 0).any():
+        return None
+    return tuple(map(days.__getitem__, order.tolist())), closes[order]
+
+
+def _checked_rows(lines: list[str]) -> tuple[tuple[dt.date, ...], np.ndarray]:
+    """The per-line rules: rows sorted by date, or the first failing line's error.
+
+    ``lines`` are the body's lines; the first is line 2 of the file.
+    """
     rows: list[tuple[dt.date, float]] = []
     seen: set[dt.date] = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(lines, start=2):
         line = raw.rstrip("\r")
         if not line.strip():
             continue
@@ -166,11 +230,7 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
         rows.append((day, close))
 
     rows.sort(key=lambda r: r[0])
-    return PriceSeries(
-        ticker=ticker,
-        dates=tuple(r[0] for r in rows),
-        closes=np.array([r[1] for r in rows], dtype=np.float64),
-    )
+    return tuple(r[0] for r in rows), np.array([r[1] for r in rows], dtype=np.float64)
 
 
 def clean_series(series: PriceSeries) -> tuple[PriceSeries, int]:

@@ -366,6 +366,29 @@ def test_atomic_write_temp_name_unique_per_write(tmp_path, monkeypatch):
     assert not list(tmp_path.glob(".*tmp*"))
 
 
+@pytest.mark.parametrize("command", [
+    ("var",),
+    ("diagram", "--window", "5", "--threshold", "0.7"),
+])
+def test_unwritable_output_is_one_io_error_line(tmp_path, capsys, command):
+    csv = make_csv(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    taken = tmp_path / "taken.csv"
+    taken.write_text("not a directory\n")
+    # os.replace onto a directory, and mkdir through a file
+    for target in (out_dir, taken / "x.csv"):
+        code, out, err = invoke(
+            capsys, command[0], "--input", str(csv), *command[1:], "--output", str(target)
+        )
+        assert code == 1, target
+        assert out == ""
+        assert err.startswith(f"error [io] {target}: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "not a directory\n"
+    assert not list(out_dir.iterdir())
+    assert not list(tmp_path.glob(".*tmp*"))
+
+
 def test_var_and_analyze_label_preprocess_failure_alike(tmp_path, capsys):
     flat = write_price_csv(tmp_path / "FLAT.csv", [100.0] * 40)
     for command in (("var",), ("analyze", "--seed", "1", "--output", str(tmp_path / "r"))):
