@@ -156,6 +156,7 @@ REJECTED = {
     "space inside a close": with_close(2, "1 2"),
     "extra comma": with_row(2, "2024-01-04,99.5,1"),
     "missing comma": with_row(2, "2024-01-04 99.5"),
+    "bad row after blank lines": with_close(2, "abc").replace("close\n", "close\n\n\r\n"),
     "empty close": with_row(2, "2024-01-04,"),
     "overflowing close": with_close(2, "1e309"),
     "nan close": with_close(2, "nan"),
@@ -248,19 +249,22 @@ def test_corpus_keeps_each_case_in_its_class():
     assert edits.count("ok") >= 25 and edits.count("error") >= 25
 
 
+def strict(text: str):
+    return ingest._strict_rows(text.partition("\n")[2])
+
+
 def test_strict_pass_takes_well_formed_files_only():
     # the named cases that reach the vectorized path, so a fall back to the
     # per-line rules for every file would not pass unnoticed
-    body = lambda text: text.partition("\n")[2]  # noqa: E731
     for name in ("well formed", "no final newline", "out of order", "reversed",
                  "space before close", "underscore close", "exponent close"):
-        assert ingest._strict_rows(body(ACCEPTED[name])) is not None, name
+        assert strict(ACCEPTED[name]) is not None, name
     for name in ("crlf", "blank line", "whitespace-only line", "space before date",
                  "arabic-indic close", "header only"):
-        assert ingest._strict_rows(body(ACCEPTED[name])) is None, name
+        assert strict(ACCEPTED[name]) is None, name
     for name, text in REJECTED.items():
         if outcome(reference_load, text)[1] is not FormatError:
-            assert ingest._strict_rows(body(text)) is None, name
+            assert strict(text) is None, name
 
 
 def _mutant(old: str, new: str):
