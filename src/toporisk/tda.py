@@ -12,8 +12,11 @@ The filtration stays in numpy arrays from the build to the reduction:
 one vertex array and one value array per dimension. Each simplex is
 keyed in the combinatorial number system (as in Ripser: Bauer, J. Appl.
 Comput. Topol. 5, 2021), so its facets are found by ``np.searchsorted``
-on keys and the coboundary columns come from one sort, with no Python
-object per simplex. ``Simplex`` tuples are made only when a caller reads
+on keys, and one sort gives the coboundary columns as CSR: one flat
+coface array plus per-simplex offsets. Most columns are apparent pairs
+(a simplex whose earliest coface has it as latest facet), paired on the
+arrays; Python reads a column from the CSR, as a list, only when it
+reduces the rest. ``Simplex`` tuples are made only when a caller reads
 ``Filtration.simplices``.
 
 Two deliberate reading choices are worth knowing about:
@@ -40,7 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, NamedTuple, Sequence, Union
+from typing import IO, Any, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -395,7 +398,10 @@ def _facet_positions(
             pos = np.empty(v.shape, dtype=np.intp)
             for j in range(q + 1):
                 face_keys = _keys([v[:, i] for i in range(q + 1) if i != j], table)
-                loc = np.searchsorted(below_keys, face_keys)
+                # queries in key order walk the sorted keys in one direction
+                by_key = np.argsort(face_keys)
+                loc = np.empty_like(by_key)
+                loc[by_key] = np.searchsorted(below_keys, face_keys[by_key])
                 pos[:, j] = padded_order[loc]
                 ok = (padded_keys[loc] == face_keys) & (padded_vals[pos[:, j]] <= x)
                 if not ok.all():
@@ -409,21 +415,25 @@ def _facet_positions(
     return facets
 
 
-def _coboundaries(facets: np.ndarray, count: int) -> list[list[int]]:
-    """Cofaces of each of ``count`` simplices, ascending, from the cofaces' facet positions.
+def _coboundary_csr(facets: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """``starts`` and ``cofaces``, the CSR coboundary columns, and the apparent columns and pivots.
 
-    The CSR form: a stable sort of the raveled facet positions lists each
-    simplex's cofaces together in ascending order, because rows ascend
-    along the ravel.
+    Column i is ``cofaces[starts[i]:starts[i + 1]]``, ascending, from one
+    stable sort of the raveled facet positions, keyed in the smallest dtype
+    holding count - 1 (numpy's stable sort of up to 16-bit keys is a radix
+    sort). Simplex sigma and its earliest coface tau are an apparent pair
+    when sigma is tau's latest facet: no column reduced before sigma's can
+    contain tau, so sigma's keeps pivot tau (Bauer, "Ripser", 2021, 3.5).
     """
     faces = facets.ravel()
-    order = np.argsort(faces, kind="stable")
-    # one int object per coface, shared by the lists of all its facets
-    cofaces = np.arange(len(facets)).astype(object)[order // facets.shape[1]].tolist()
+    order = np.argsort(faces.astype(np.min_scalar_type(count - 1)), kind="stable")
+    cofaces = order // facets.shape[1]
     starts = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(np.bincount(faces, minlength=count), out=starts[1:])
-    bounds = starts.tolist()
-    return [cofaces[a:b] for a, b in zip(bounds, bounds[1:])]
+    cols = np.flatnonzero(starts[1:] > starts[:-1])
+    oldest = cofaces[starts[cols]]
+    apparent = facets[oldest].max(axis=1) == cols
+    return starts, cofaces, cols[apparent], oldest[apparent]
 
 
 def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -454,27 +464,32 @@ class _UnionFind:
         return True
 
 
-def _reduce_coboundaries(
-    coboundaries: list[list[int]], cleared: set[int]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Z/2 reduction of coboundary columns, latest column first.
+def _reduce_coboundaries(facets: np.ndarray, count: int, cleared: np.ndarray) -> tuple:
+    """Z/2 reduction of the coboundary columns of ``count`` simplices, latest first.
 
-    ``coboundaries[i]`` lists the cofaces of simplex i in ascending
-    filtration order, so its pivot (earliest coface) is its first entry.
-    Columns in ``cleared`` are skipped: their simplex already died in the
-    dimension below, so they reduce to zero. Returns the (column, pivot)
-    pairs and the columns that reduced to zero.
+    ``facets`` holds the cofaces' facet positions; the columns masked by
+    ``cleared`` died in the dimension below and reduce to zero. Python
+    reduces only the columns that are neither apparent, empty nor cleared,
+    reading each column from the CSR as a list when it is needed. Returns
+    the paired columns, their pivots (earliest cofaces) and the zero columns.
     """
-    owner: dict[int, Iterable[int]] = {}
-    pairs: list[tuple[int, int]] = []
-    zeros: list[int] = []
-    for idx in range(len(coboundaries) - 1, -1, -1):
-        if idx in cleared:
-            continue
-        col = coboundaries[idx]
+    starts, cofaces, cols, pivots = _coboundary_csr(facets, count)
+    bounds = starts.tolist()
+
+    def column(i: int) -> list[int]:
+        return cofaces[bounds[i] : bounds[i + 1]].tolist()
+
+    empty = starts[1:] == starts[:-1]
+    skip = cleared | empty
+    skip[cols] = True
+    owner = dict(zip(pivots.tolist(), cols.tolist()))
+    reduced: dict[int, set[int]] = {}
+    pairs, zeros = [], []
+    for idx in np.flatnonzero(~skip)[::-1].tolist():
+        col = column(idx)
         # most columns keep their earliest coface as pivot: no set is built
-        if col and col[0] not in owner:
-            owner[col[0]] = col
+        if col[0] not in owner:
+            owner[col[0]] = idx
             pairs.append((idx, col[0]))
             continue
         work = set(col)
@@ -482,13 +497,16 @@ def _reduce_coboundaries(
             low = min(work)
             other = owner.get(low)
             if other is None:
-                owner[low] = work
+                owner[low] = idx
+                reduced[idx] = work
                 pairs.append((idx, low))
                 break
-            work.symmetric_difference_update(other)
+            work.symmetric_difference_update(reduced[other] if other in reduced else column(other))
         else:
             zeros.append(idx)
-    return pairs, zeros
+    idx, low = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    zeros = np.concatenate((np.flatnonzero(empty & ~cleared), zeros)).astype(np.intp)
+    return np.concatenate((cols, idx)), np.concatenate((pivots, low)), zeros
 
 
 def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
@@ -503,10 +521,12 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     Dimension 0 uses a union-find merge pass over the edges; each
     dimension q = 1..max_dim then reduces the coboundary columns of its
     q-simplices over Z/2 from the latest to the earliest, skipping the
-    q-simplices that already died in dimension q - 1 (clearing). Over a
-    field this gives the same pairs as reducing boundary matrices. Pairs
-    with equal birth and death are dropped; unkilled classes of dimension
-    <= max_dim get death = inf.
+    q-simplices that already died in dimension q - 1 (clearing). The
+    columns are one CSR from a sort; apparent pairs and empty columns are
+    decided on its arrays, and Python reduces the rest, making a column a
+    list only when it reads it. Over a field this gives the same pairs as
+    reducing boundary matrices. Pairs with equal birth and death are
+    dropped; unkilled classes of dimension <= max_dim get death = inf.
     """
     check_max_dim(f.max_dim)
     top = f.max_dim + 1
@@ -520,24 +540,23 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
 
     # dimension 0: elder rule is trivial because every vertex is born at 0
     uf = _UnionFind(len(vals[0]))
-    died: set[int] = set()
+    cleared = np.zeros(len(vals[1]), dtype=bool)
     edge_vals = vals[1].tolist()
     for e_idx, (u, v) in enumerate(facets[1].tolist()):
         if uf.union(u, v):
-            died.add(e_idx)
+            cleared[e_idx] = True
             if edge_vals[e_idx] > 0.0:
                 diagrams[0].append((0.0, edge_vals[e_idx]))
     components = sum(1 for i in range(len(vals[0])) if uf.find(i) == i)
     diagrams[0].extend((0.0, math.inf) for _ in range(components))
 
     for q in range(1, f.max_dim + 1):
-        pairs, zeros = _reduce_coboundaries(_coboundaries(facets[q + 1], len(vals[q])), died)
-        idx, pivots = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        idx, pivots, zeros = _reduce_coboundaries(facets[q + 1], len(vals[q]), cleared)
         births, deaths = vals[q][idx], vals[q + 1][pivots]
         alive = deaths > births
         diagrams[q].extend(zip(births[alive].tolist(), deaths[alive].tolist()))
         diagrams[q].extend((birth, math.inf) for birth in vals[q][zeros].tolist())
-        died = set(pivots.tolist())
+        cleared = np.bincount(pivots, minlength=len(vals[q + 1])) > 0
 
     final = {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
     return PersistenceDiagramSet(final, f.threshold, f.max_dim)

@@ -8,8 +8,9 @@ Four routes cross-check each other here:
 * a boundary-matrix reduction written in this file (homology, pivot =
   latest face, clearing from the top dimension down), whose diagrams
   must equal compute_persistence's exactly.
-Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, and
-a brute-force enumeration of vertex subsets as the oracle for the Rips build.
+Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, a
+brute-force enumeration of vertex subsets as the oracle for the Rips build,
+and one of cofaces and facets as the oracle for the apparent pairs.
 """
 
 from __future__ import annotations
@@ -569,6 +570,174 @@ def test_pairing_matches_oracle_on_fixture_at_5_percent(synthetic_csv):
     f = build_rips_filtration(dm, 2, threshold)
     assert sum(1 for s in f.simplices if len(s.vertices) == 4) == 22529
     assert compute_persistence(f).diagrams == boundary_reduction_diagrams(f)
+
+
+# --- apparent pairs: brute-force enumeration, no shared code ---
+
+
+def faces_of(verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [verts[:i] + verts[i + 1 :] for i in range(len(verts))]
+
+
+def enumerated_apparent_pairs(f: Filtration) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(sigma, tau) with tau sigma's earliest coface and sigma tau's latest facet.
+
+    Earliest and latest are positions in ``f.simplices``; sigma ranges over
+    dimensions 1..max_dim, the columns the cohomology reduction reduces.
+    """
+    rank = {s.vertices: i for i, s in enumerate(f.simplices)}
+    earliest_coface: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for s in f.simplices:
+        if 2 <= len(s.vertices) - 1 <= f.max_dim + 1:
+            for face in faces_of(s.vertices):
+                earliest_coface.setdefault(face, s.vertices)
+    return {
+        (sigma, tau)
+        for sigma, tau in earliest_coface.items()
+        if max(faces_of(tau), key=rank.__getitem__) == sigma
+    }
+
+
+def negative_simplices(f: Filtration) -> set[tuple[int, ...]]:
+    """Simplices of dimensions 1..max_dim whose boundary is independent of earlier ones.
+
+    Each kills a class of the dimension below, so clearing skips its column.
+    Boundaries are bitmasks over face positions, eliminated over Z/2.
+    """
+    position: dict[int, dict[tuple[int, ...], int]] = {q: {} for q in range(f.max_dim + 1)}
+    basis: dict[int, dict[int, int]] = {q: {} for q in range(f.max_dim + 1)}
+    negative = set()
+    for s in f.simplices:
+        q = len(s.vertices) - 1
+        if q > f.max_dim:
+            continue
+        position[q][s.vertices] = len(position[q])
+        mask = sum(1 << position[q - 1][face] for face in faces_of(s.vertices)) if q else 0
+        while mask:
+            high = mask.bit_length() - 1
+            if high not in basis[q]:
+                basis[q][high] = mask
+                negative.add(s.vertices)
+                break
+            mask ^= basis[q][high]
+    return negative
+
+
+def marked_apparent_pairs(f: Filtration) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs the numpy pass marks, as vertex tuples."""
+    facets = tda._facet_positions(f.verts, f.vals, f.threshold, f.max_dim + 1)
+    marked = set()
+    for q in range(1, f.max_dim + 1):
+        _, _, cols, pivots = tda._coboundary_csr(facets[q + 1], len(f.vals[q]))
+        marked |= {
+            (tuple(f.verts[q][c].tolist()), tuple(f.verts[q + 1][p].tolist()))
+            for c, p in zip(cols.tolist(), pivots.tolist())
+        }
+    return marked
+
+
+def assert_apparent_pairs_enumerated(f: Filtration) -> int:
+    marked = marked_apparent_pairs(f)
+    assert marked == enumerated_apparent_pairs(f)
+    # an apparent column keeps its pivot, so clearing never skips it
+    assert not {sigma for sigma, _ in marked} & negative_simplices(f)
+    return len(marked)
+
+
+def test_apparent_pairs_match_enumeration_on_tie_heavy_clouds():
+    # the clouds and thresholds of test_pairing_matches_boundary_reduction_oracle
+    rng = random.Random(41)
+    marked = 0
+    for trial in range(240):
+        dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
+        threshold = None
+        if trial % 2 and dm.n > 1:
+            dists = dm.entries[np.triu_indices(dm.n, 1)]
+            threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
+        marked += assert_apparent_pairs_enumerated(build_rips_filtration(dm, trial % 3, threshold))
+    assert marked > 2000, marked
+
+
+def test_apparent_pairs_match_enumeration_on_fixture_at_5_percent(synthetic_csv):
+    cloud = delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1)
+    dm = distance_matrix(cloud)
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    f = build_rips_filtration(dm, 2, threshold)
+    # most of the 1,446 edge and 6,923 triangle columns are apparent
+    assert assert_apparent_pairs_enumerated(f) > 0.7 * (1446 + 6923)
+
+
+# --- columns at the edges: no cofaces, all cleared, empty top dimension ---
+
+
+def test_dimension_with_simplices_but_no_cofaces():
+    # edges and no triangle, at max_dim 1 and 2
+    dm = distance_matrix(PointCloud(np.array([[0.0], [1.0], [2.0]])))
+    for max_dim in (1, 2):
+        f = build_rips_filtration(dm, max_dim, 1.0)
+        assert f.vals[1].size == 2 and f.vals[2].size == 0
+        d = compute_persistence(f)
+        assert d.diagrams == boundary_reduction_diagrams(f)
+        assert d.diagrams[0] == ((0.0, 1.0), (0.0, 1.0), (0.0, math.inf))
+    # a hollow tetrahedron: four triangles, no tetrahedron, so one lives forever
+    tet = (0, 1, 2, 3)
+    hollow = Filtration(
+        tuple(Simplex((v,), 0.0) for v in tet)
+        + tuple(Simplex(e, 1.0) for e in itertools.combinations(tet, 2))
+        + tuple(Simplex(t, 2.0) for t in itertools.combinations(tet, 3)),
+        2.0,
+        2,
+    )
+    d = compute_persistence(hollow)
+    assert d.diagrams == boundary_reduction_diagrams(hollow)
+    assert d.diagrams[1] == ((1.0, 2.0),) * 3 and d.diagrams[2] == ((2.0, math.inf),)
+
+
+def test_dimension_whose_columns_are_all_cleared():
+    # a square with one diagonal, both triangles filled: each kills a loop
+    square = Filtration(
+        tuple(Simplex((v,), 0.0) for v in range(4))
+        + tuple(Simplex(e, 1.0) for e in ((0, 1), (0, 3), (1, 2), (2, 3)))
+        + (Simplex((0, 2), 1.5), Simplex((0, 1, 2), 2.0), Simplex((0, 2, 3), 2.0)),
+        2.0,
+        2,
+    )
+    assert {(0, 1, 2), (0, 2, 3)} <= negative_simplices(square)
+    d = compute_persistence(square)
+    assert d.diagrams == boundary_reduction_diagrams(square)
+    assert d.diagrams[1] == ((1.0, 2.0), (1.5, 2.0)) and d.diagrams[2] == ()
+
+
+def test_empty_top_dimension():
+    # a unit square below its diagonal: one loop, no triangle, no tetrahedron
+    for max_dim in (1, 2):
+        f = unit_square_filtration(max_dim, 1.0)
+        assert f.vals[-1].size == 0
+        d = compute_persistence(f)
+        assert d.diagrams == boundary_reduction_diagrams(f)
+        assert d.diagrams[1] == ((1.0, math.inf),)
+
+
+@pytest.mark.parametrize("right", [256, 257])
+def test_columns_on_each_side_of_16_bit_sort_keys(right):
+    # complete bipartite K_{256, right} plus edge (0, 1) and two triangles on it:
+    # 65,536 edges sort on 16-bit keys, 65,793 on 32-bit ones
+    left = range(256)
+    edges = [(a, b) for a in left for b in range(256, 256 + right)]
+    if right == 256:
+        edges.remove((255, 511))
+    simplices = (
+        tuple(Simplex((v,), 0.0) for v in range(256 + right))
+        + tuple(Simplex(e, 1.0) for e in edges)
+        + (Simplex((0, 1), 2.0), Simplex((0, 1, 256), 3.0), Simplex((0, 1, 257), 3.0))
+    )
+    f = Filtration(simplices, 3.0, 1)
+    assert len(edges) + 1 == {256: 65_536, 257: 65_793}[right]
+    d = compute_persistence(f)
+    assert d.diagrams == boundary_reduction_diagrams(f)
+    # the triangles kill the youngest loop and one born at 1.0; the others stay
+    loops = len(edges) - (256 + right)
+    assert d.diagrams[1] == ((1.0, 3.0),) + ((1.0, math.inf),) * loops + ((2.0, 3.0),)
 
 
 def test_pairing_matches_betti_numbers():
