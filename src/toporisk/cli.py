@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -126,6 +125,10 @@ def _run_per_ticker(
     if jobs <= 1:
         outcomes = [safe(p) for p in paths]
     else:
+        # imported here: concurrent.futures (and the logging it loads) costs
+        # every fresh interpreter milliseconds that a serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(safe, paths))
     results = []

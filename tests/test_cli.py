@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,40 @@ def test_analyze_bottleneck_flag(tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "TICK.json").read_text())
     assert set(report["bottleneck"]) == {"h0", "h1", "h2"}
+
+
+IMPORTS_DURING_PASS = """
+import json, sys
+import toporisk.cli as cli
+cli.build_parser()
+before = set(sys.modules)
+code = cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "gained": sorted(set(sys.modules) - before),
+    "futures": "concurrent.futures" in sys.modules,
+}))
+"""
+
+
+def test_analyze_pass_imports_nothing(tmp_path):
+    # a fresh interpreter, as a shell user's call: an import inside the
+    # pass is paid on every call; compared before and after, not by name,
+    # because numpy 1.x imports numpy.ma eagerly and 2.x on first use
+    csv = make_csv(tmp_path)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [
+        "analyze", "--input", str(csv), "--seed", "9", "--window", "5",
+        "--threshold", "0.7", "--bottleneck", "--output", str(tmp_path / "r"),
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORTS_DURING_PASS, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"code": 0, "gained": [], "futures": False}
 
 
 def test_analyze_json_summary(tmp_path, capsys):

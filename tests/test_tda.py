@@ -10,6 +10,7 @@ Four routes cross-check each other here:
   must equal compute_persistence's exactly.
 Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, a
 brute-force enumeration of vertex subsets as the oracle for the Rips build,
+the mask expansion it replaced as a bit-exact differential oracle for it,
 and one of cofaces and facets as the oracle for the apparent pairs.
 """
 
@@ -308,6 +309,61 @@ def test_rips_canonical_order_and_closure():
         assert [(s.vertices, s.value) for s in f.simplices] == expected
         assert all(type(v) is int for s in f.simplices for v in s.vertices)
         assert all(type(s.value) is float for s in f.simplices)
+
+
+def mask_expansion(entries: np.ndarray, max_dim: int, thr: float) -> tuple[list, list]:
+    """The clique expansion over simplices x n masks that the neighbour lists replaced, verbatim."""
+    n = entries.shape[0]
+    adj = entries <= thr
+    ids = np.arange(n)
+    verts, vals = ids[:, None], np.zeros(n)
+    all_verts, all_vals = [verts], [vals]
+    for _ in range(max_dim + 1):
+        common = verts[:, -1:] < ids
+        for col in verts.T:
+            common &= adj[col]
+        rows, ks = np.nonzero(common)
+        del common
+        verts = verts[rows]
+        vals = np.maximum(vals[rows], entries[verts, ks[:, None]].max(axis=1))
+        verts = np.column_stack((verts, ks))
+        order = np.argsort(vals, kind="stable")
+        all_verts.append(verts[order])
+        all_vals.append(vals[order])
+    return all_verts, all_vals
+
+
+def assert_build_matches_mask_expansion(entries: np.ndarray, max_dim: int, threshold) -> None:
+    f = build_rips_filtration(entries, max_dim, threshold)
+    verts, vals = mask_expansion(entries, max_dim, f.threshold)
+    assert len(f.verts) == len(verts) == len(f.vals) == len(vals) == max_dim + 2
+    for got, want in zip(f.verts + f.vals, verts + vals):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # the same bits, signed zeros included
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_build_matches_mask_expansion_on_tie_heavy_clouds():
+    rng = random.Random(43)
+    for trial in range(40):
+        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3)).entries
+        n = dm.shape[0]
+        threshold = None
+        if trial % 4 and n > 1:
+            quantile = (0.1, 0.3, 0.6)[trial % 4 - 1]
+            threshold = float(np.quantile(dm[np.triu_indices(n, 1)], quantile))
+        assert_build_matches_mask_expansion(dm, trial % 3, threshold)
+    # off-diagonal -0.0 entries pass the matrix checks and tie with 0.0
+    signed = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]])
+    assert_build_matches_mask_expansion(signed, 1, 0.0)
+    assert_build_matches_mask_expansion(np.zeros((0, 0)), 2, None)
+
+
+def test_build_matches_mask_expansion_on_fixture_at_5_percent(synthetic_csv):
+    dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    assert_build_matches_mask_expansion(dm.entries, 2, threshold)
 
 
 # --- persistence ---

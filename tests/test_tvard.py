@@ -279,6 +279,11 @@ def test_bottleneck_examples():
     assert bottleneck_distance([(0.0, 2.0)], []) == 1.0
     d = [(0.1, 0.5), (0.2, 0.9)]
     assert bottleneck_distance(d, d) == 0.0
+    # (0.0, -0.0) is -0.0 from the diagonal; with enough of them numpy's
+    # sort may put -0.0 ahead of 0.0, and the answer must still be +0.0
+    for d1 in ([(0.0, -0.0)], [(0.0, -0.0)] * 20, [(0.0, -0.0)] * 40 + [(1.0, 1.0)]):
+        for got in (bottleneck_distance(d1, []), bottleneck_distance([(0.5, 0.5)], d1)):
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 def test_bottleneck_rejects_infinite_pairs():
