@@ -264,9 +264,9 @@ def build_rips_filtration(
     thr = float(entries.max(initial=0.0) if threshold is None else threshold)
 
     upper = np.triu(entries <= thr, 1)
-    # int32 vertex ids (the n x n float64 matrix bounds n) keep the peak
-    # memory of the candidate arrays below the mask expansion's; the
-    # column_stack below widens them back to intp
+    # int32 vertex ids (the n x n float64 matrix bounds n) halve the
+    # candidate id arrays, which lowers peak memory; the column_stack
+    # below widens them back to intp
     tails = np.nonzero(upper)[1].astype(np.int32)
     starts = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.count_nonzero(upper, axis=1), out=starts[1:])

@@ -331,7 +331,7 @@ def bottleneck_distance(
     )
     half1 = (a[:, 1] - a[:, 0]) / 2.0
     half2 = (b[:, 1] - b[:, 0]) / 2.0
-    # sort and drop repeats: np.unique would import numpy.ma on first use
+    # sort and drop repeats: on numpy 2.x np.unique imports numpy.ma on first use
     costs = np.sort(np.concatenate(([0.0], half1, half2, cost.ravel())))
     costs = costs[np.concatenate(([True], costs[1:] != costs[:-1]))]
     lo, hi = 0, len(costs) - 1
