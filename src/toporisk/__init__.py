@@ -47,7 +47,6 @@ from .tvard import (
     FeatureVector,
     RiskReport,
     SplitMix64,
-    StressConfig,
     bottleneck_distance,
     preprocess,
     report_to_json,
@@ -81,7 +80,6 @@ __all__ = [
     "RowError",
     "Simplex",
     "SplitMix64",
-    "StressConfig",
     "TailRiskResult",
     "TopoRiskError",
     "betti_numbers_at",

@@ -246,17 +246,20 @@ def _add_io(parser: argparse.ArgumentParser, output_help: str) -> None:
 
 
 def _add_topology(parser: argparse.ArgumentParser, *, seed_required: bool) -> None:
-    parser.add_argument("--window", type=int, default=10,
-                        help="delay-embedding window length, default 10")
-    parser.add_argument("--stride", type=int, default=1,
-                        help="delay-embedding stride, default 1")
-    parser.add_argument("--max-dim", type=int, default=2,
-                        help="top homology dimension (0, 1 or 2), default 2")
-    parser.add_argument("--threshold", type=_threshold_arg, default=None,
-                        help="Rips scale cap, a number or 'auto' (max distance); "
+    # every default is AnalysisConfig's own, so the CLI and the library agree
+    cfg = AnalysisConfig
+    parser.add_argument("--window", type=int, default=cfg.window,
+                        help=f"delay-embedding window length, default {cfg.window}")
+    parser.add_argument("--stride", type=int, default=cfg.stride,
+                        help=f"delay-embedding stride, default {cfg.stride}")
+    parser.add_argument("--max-dim", type=int, default=cfg.max_dim,
+                        help=f"top homology dimension (0, 1 or 2), default {cfg.max_dim}")
+    parser.add_argument("--threshold", type=_threshold_arg, default=cfg.threshold,
+                        help="Rips scale cap, a number or 'auto' (max distance), default auto; "
                              "auto is O(n^4) in points, prefer a number for large inputs")
-    parser.add_argument("--stress-fraction", type=float, default=0.5,
-                        help="fraction of returns kept in the stress sample, default 0.5")
+    parser.add_argument("--stress-fraction", type=float, default=cfg.fraction,
+                        help="fraction of returns kept in the stress sample, "
+                             f"default {cfg.fraction}")
     parser.add_argument("--seed", type=int, default=None, required=seed_required,
                         help="unsigned 64-bit RNG seed for stress sampling"
                              + ("" if seed_required else " (required with --stress)"))
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     for p in (p_var, p_an):
-        p.add_argument("--alpha", type=float, default=0.95,
-                       help="confidence level in (0, 1), default 0.95")
+        p.add_argument("--alpha", type=float, default=AnalysisConfig.alpha,
+                       help=f"confidence level in (0, 1), default {AnalysisConfig.alpha}")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="tickers processed concurrently, default 1")
     return parser

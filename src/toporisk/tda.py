@@ -3,10 +3,10 @@
 The pipeline turns a 1-D return series into a point cloud of overlapping
 windows (sliding-window delay embedding), builds the Vietoris-Rips
 filtration on the Euclidean distance matrix up to a scale threshold, and
-computes persistence diagrams in dimensions 0..max_dim: a union-find
-pass for dimension 0, then persistent cohomology with clearing (each
-dimension's coboundary matrix reduced from the latest simplex to the
-earliest, skipping simplices already paired in the dimension below).
+computes persistence diagrams in dimensions 0..max_dim: a merge pass
+over the edges for dimension 0, then persistent cohomology with clearing
+(each dimension's coboundary matrix reduced from the latest simplex to
+the earliest, skipping simplices already paired in the dimension below).
 
 The filtration stays in numpy arrays from the build to the reduction:
 one vertex array and one value array per dimension. Each simplex is
@@ -180,22 +180,23 @@ class PersistenceDiagramSet:
 
 
 def check_embedding(window: int, stride: int) -> None:
-    """Reject a delay-embedding window or stride below 1."""
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    """Reject a delay-embedding window or stride that is not an integer >= 1 (bool is not)."""
+    for name, value in (("window", window), ("stride", stride)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_max_dim(max_dim: int) -> None:
-    """Reject a top homology dimension other than 0, 1 or 2."""
-    if max_dim not in (0, 1, 2):
-        raise ParameterError(f"max_dim must be 0, 1 or 2, got {max_dim}")
+    """Reject a top homology dimension other than the integers 0, 1 or 2 (bool is not)."""
+    if isinstance(max_dim, bool) or not (
+        isinstance(max_dim, numbers.Integral) and 0 <= max_dim <= 2
+    ):
+        raise ParameterError(f"max_dim must be 0, 1 or 2, got {max_dim!r}")
 
 
 def check_threshold(threshold: float | None) -> None:
-    """Reject a Rips scale cap that is not a finite number >= 0; None means auto."""
-    if threshold is not None and not (
+    """Reject a Rips scale cap that is not a finite number >= 0 (bool is not); None means auto."""
+    if isinstance(threshold, bool) or threshold is not None and not (
         isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold >= 0
     ):
         raise ParameterError(f"threshold must be a finite number >= 0 or None, got {threshold!r}")
@@ -458,28 +459,26 @@ def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+def _merge_edges(n: int, edges: list[list[int]]) -> np.ndarray:
+    """Positions of the edges, in filtration order, that join two components.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+    ``edges`` are each edge's two vertex positions among ``n`` vertices.
+    A forest of parent links with path halving tracks the components;
+    the edges returned are the dimension-0 deaths (Kruskal's minimum
+    spanning forest, since edges come in filtration order).
+    """
+    parent = list(range(n))
+    merged = []
+    for i, (u, v) in enumerate(edges):
+        # halving: u's link skips to its grandparent, which u then becomes
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            merged.append(i)
+    return np.array(merged, dtype=np.intp)
 
 
 def _reduce_coboundaries(facets: np.ndarray, count: int, cleared: np.ndarray) -> tuple:
@@ -536,7 +535,7 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     values within the threshold, dimension at most max_dim + 1, no
     duplicates, every facet present and valued at or below its coface)
     and locates each facet by its combinatorial-number-system key.
-    Dimension 0 uses a union-find merge pass over the edges; each
+    Dimension 0 takes its deaths from the merging edges (``_merge_edges``); each
     dimension q = 1..max_dim then reduces the coboundary columns of its
     q-simplices over Z/2 from the latest to the earliest, skipping the
     q-simplices that already died in dimension q - 1 (clearing). The
@@ -557,16 +556,12 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
 
     # dimension 0: elder rule is trivial because every vertex is born at 0
-    uf = _UnionFind(len(vals[0]))
+    merged = _merge_edges(len(vals[0]), facets[1].tolist())
     cleared = np.zeros(len(vals[1]), dtype=bool)
-    edge_vals = vals[1].tolist()
-    for e_idx, (u, v) in enumerate(facets[1].tolist()):
-        if uf.union(u, v):
-            cleared[e_idx] = True
-            if edge_vals[e_idx] > 0.0:
-                diagrams[0].append((0.0, edge_vals[e_idx]))
-    components = sum(1 for i in range(len(vals[0])) if uf.find(i) == i)
-    diagrams[0].extend((0.0, math.inf) for _ in range(components))
+    cleared[merged] = True
+    deaths = vals[1][merged]
+    diagrams[0].extend((0.0, death) for death in deaths[deaths > 0.0].tolist())
+    diagrams[0].extend([(0.0, math.inf)] * (len(vals[0]) - len(merged)))
 
     for q in range(1, f.max_dim + 1):
         idx, pivots, zeros = _reduce_coboundaries(facets[q + 1], len(vals[q]), cleared)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,15 +50,17 @@ _U64 = (1 << 64) - 1
 
 
 def check_seed(seed: int) -> None:
-    """Reject a stress seed that is not an unsigned 64-bit integer."""
-    if not isinstance(seed, int) or not 0 <= seed <= _U64:
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    """Reject a seed that is not a Python int in 0..2**64 - 1, as SplitMix64's masks need."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _U64:
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def check_fraction(fraction: float) -> None:
-    """Reject a stress-sample fraction outside (0, 1]."""
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
+    """Reject a stress-sample fraction that is not a number in (0, 1]."""
+    if isinstance(fraction, bool) or not (
+        isinstance(fraction, numbers.Real) and 0.0 < fraction <= 1.0
+    ):
+        raise ParameterError(f"fraction must lie in (0, 1], got {fraction!r}")
 
 
 class SplitMix64:
@@ -86,18 +89,6 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
-class StressConfig:
-    """Stress scenario: keep floor(fraction * n) returns, chosen by seed."""
-
-    seed: int
-    fraction: float = 0.5
-
-    def __post_init__(self):
-        check_fraction(self.fraction)
-        check_seed(self.seed)
-
-
 def sample_indices(n: int, k: int, seed: int) -> list[int]:
     """First k slots of a seeded Fisher-Yates shuffle of 0..n-1, sorted."""
     if not 0 <= k <= n:
@@ -110,10 +101,10 @@ def sample_indices(n: int, k: int, seed: int) -> list[int]:
     return sorted(idx[:k])
 
 
-def stress_sample(series: ReturnSeries, cfg: StressConfig) -> ReturnSeries:
-    """Subsample floor(fraction * n) returns without replacement, in order.
+def stress_sample(series: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
+    """Subsample floor(cfg.fraction * n) returns without replacement, in order.
 
-    Deterministic for a given (series, seed); dropped_count carries over
+    Deterministic for a given (series, cfg.seed); dropped_count carries over
     unchanged since the subsample introduces no new zero denominators.
     """
     n = len(series)
@@ -363,7 +354,8 @@ class AnalysisConfig:
         check_embedding(self.window, self.stride)
         check_max_dim(self.max_dim)
         check_threshold(self.threshold)
-        StressConfig(seed=self.seed, fraction=self.fraction)
+        check_fraction(self.fraction)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -402,9 +394,10 @@ def report_to_json(report: RiskReport) -> str:
         "tvard": report.tvard,
         "bottleneck": report.bottleneck,
         "config": {
-            "window": cfg.window,
-            "stride": cfg.stride,
-            "max_dim": cfg.max_dim,
+            # int(): a numpy integer is a valid window but not JSON
+            "window": int(cfg.window),
+            "stride": int(cfg.stride),
+            "max_dim": int(cfg.max_dim),
             "threshold": "auto" if cfg.threshold is None else cfg.threshold,
             "fraction": cfg.fraction,
             "seed": cfg.seed,
@@ -427,7 +420,7 @@ def preprocess(prices: PriceSeries) -> ReturnSeries:
 def _stress_returns(returns: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
     """The config's stress sample of returns; failures carry the stage "stress-sample"."""
     try:
-        return stress_sample(returns, StressConfig(seed=cfg.seed, fraction=cfg.fraction))
+        return stress_sample(returns, cfg)
     except TopoRiskError as exc:
         raise PipelineError("stress-sample", exc) from exc
 
@@ -466,11 +459,10 @@ def run_analysis(prices: PriceSeries, cfg: AnalysisConfig) -> RiskReport:
 
     bottleneck = None
     if cfg.with_bottleneck:
-        cap = max(baseline.threshold, stress.threshold)
         bottleneck = {}
         for q in range(cfg.max_dim + 1):
-            pairs_b = _ordered_pairs(baseline.diagrams.get(q, ()), cap)
-            pairs_s = _ordered_pairs(stress.diagrams.get(q, ()), cap)
+            pairs_b = _ordered_pairs(baseline.diagrams.get(q, ()), vec_base.cap)
+            pairs_s = _ordered_pairs(stress.diagrams.get(q, ()), vec_base.cap)
             bottleneck[f"h{q}"] = bottleneck_distance(pairs_b, pairs_s)
 
     return RiskReport(

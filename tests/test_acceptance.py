@@ -38,7 +38,6 @@ from toporisk import (
     AnalysisConfig,
     PersistenceDiagramSet,
     PointCloud,
-    StressConfig,
     build_rips_filtration,
     clean_series,
     compute_persistence,
@@ -418,7 +417,7 @@ def test_desk_scale_positive_tvard(synthetic_csv):
     )
     distances = []
     for seed in range(100):
-        stressed = stress_sample(returns, StressConfig(seed=seed, fraction=0.5))
+        stressed = stress_sample(returns, AnalysisConfig(seed=seed, fraction=0.5))
         stress_ds = compute_persistence(
             build_rips_filtration(
                 distance_matrix(delay_embed(stressed, 10, 1)),

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import toporisk.cli as cli
+from toporisk import AnalysisConfig
 from toporisk.cli import main
 
 from conftest import write_price_csv
@@ -345,6 +346,30 @@ def test_nonfinite_threshold_rejected_before_io(tmp_path, capsys):
             )
             assert code == 2, (command, value)
             assert "threshold" in err and "[io]" not in err, (command, value)
+
+
+def test_defaults_are_the_library_defaults(capsys):
+    parser = cli.build_parser()
+    args = parser.parse_args(["analyze", "--input", "X.csv", "--seed", "1"])
+    assert cli._config(args, seed=args.seed, alpha=args.alpha) == AnalysisConfig(seed=1)
+    assert parser.parse_args(["var", "--input", "X.csv"]).alpha == AnalysisConfig.alpha
+    cfg = AnalysisConfig
+    topology = (
+        f"window length, default {cfg.window}",
+        f"stride, default {cfg.stride}",
+        f"(0, 1 or 2), default {cfg.max_dim}",
+        f"stress sample, default {cfg.fraction}",
+    )
+    alpha = (f"(0, 1), default {cfg.alpha}",)
+    for command, numbers in (
+        ("var", alpha), ("diagram", topology), ("analyze", topology + alpha)
+    ):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        # argparse wraps help text at any space
+        text = " ".join(out.split())
+        for number in numbers:
+            assert number in text, (command, number)
 
 
 def test_diagram_stress_without_seed_rejected_before_io(tmp_path, capsys):

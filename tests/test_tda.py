@@ -1,7 +1,7 @@
 """Delay embedding, Rips filtrations and persistence against independent oracles.
 
 Four routes cross-check each other here:
-* compute_persistence (union-find + coboundary reduction with clearing),
+* compute_persistence (merge-edge pass + coboundary reduction with clearing),
 * betti_numbers_at (rank-nullity over Z/2 inside the package),
 * a dense numpy Gaussian elimination over Z/2 written in this file,
   sharing no code with either of the above,
@@ -176,6 +176,9 @@ def test_delay_embed_validation():
         delay_embed([1, 2, 3], window=0)
     with pytest.raises(ParameterError):
         delay_embed([1, 2, 3], window=2, stride=0)
+    for window, stride in ((2.0, 1), (2, 1.0), (True, 1), (2, True)):
+        with pytest.raises(ParameterError):
+            delay_embed([1, 2, 3], window=window, stride=stride)
     with pytest.raises(ParameterError):
         delay_embed(np.zeros((2, 2)), window=2)
 
@@ -245,6 +248,11 @@ def test_rips_validation():
     dm = np.zeros((2, 2))
     with pytest.raises(ParameterError):
         build_rips_filtration(dm, max_dim=3)
+    for max_dim in (1.0, True):
+        with pytest.raises(ParameterError):
+            build_rips_filtration(dm, max_dim=max_dim)
+    with pytest.raises(ParameterError):
+        build_rips_filtration(dm, max_dim=1, threshold=True)
     with pytest.raises(ParameterError):
         build_rips_filtration(dm, max_dim=2, threshold=-0.5)
     auto = build_rips_filtration(dm + np.array([[0, 1], [1, 0]]), 1, None)

@@ -26,7 +26,6 @@ from toporisk import (
     PriceSeries,
     ReturnSeries,
     SplitMix64,
-    StressConfig,
     bottleneck_distance,
     clean_series,
     compute_returns,
@@ -125,7 +124,7 @@ def make_returns(values, ticker="T", dropped=0) -> ReturnSeries:
 def test_stress_sample_cardinality_and_order():
     series = make_returns([0.1, -0.2, 0.3, -0.4])
     for seed in range(10):
-        out = stress_sample(series, StressConfig(seed=seed, fraction=0.5))
+        out = stress_sample(series, AnalysisConfig(seed=seed, fraction=0.5))
         assert len(out) == 2
         # kept returns appear in their original relative order
         positions = [series.returns.tolist().index(v) for v in out.returns]
@@ -134,35 +133,35 @@ def test_stress_sample_cardinality_and_order():
 
 def test_stress_sample_full_fraction_is_identity():
     series = make_returns([0.1, -0.2, 0.3, -0.4, 0.5])
-    out = stress_sample(series, StressConfig(seed=7, fraction=1.0))
+    out = stress_sample(series, AnalysisConfig(seed=7, fraction=1.0))
     assert out.returns.tolist() == series.returns.tolist()
 
 
 def test_stress_sample_deterministic():
     series = make_returns([random.Random(53).gauss(0, 1) for _ in range(30)])
-    a = stress_sample(series, StressConfig(seed=99, fraction=0.5))
-    b = stress_sample(series, StressConfig(seed=99, fraction=0.5))
+    a = stress_sample(series, AnalysisConfig(seed=99, fraction=0.5))
+    b = stress_sample(series, AnalysisConfig(seed=99, fraction=0.5))
     assert a.returns.tolist() == b.returns.tolist()
 
 
 def test_stress_sample_carries_dropped_count():
     series = make_returns([0.1, 0.2, 0.3, 0.4], dropped=2)
-    out = stress_sample(series, StressConfig(seed=1, fraction=0.5))
+    out = stress_sample(series, AnalysisConfig(seed=1, fraction=0.5))
     assert out.dropped_count == 2
     assert out.ticker == "T"
 
 
 def test_stress_sample_errors():
     with pytest.raises(InsufficientDataError):
-        stress_sample(make_returns([0.1]), StressConfig(seed=1, fraction=0.5))
+        stress_sample(make_returns([0.1]), AnalysisConfig(seed=1, fraction=0.5))
     with pytest.raises(InsufficientDataError):
-        stress_sample(make_returns([0.1, 0.2]), StressConfig(seed=1, fraction=0.3))
+        stress_sample(make_returns([0.1, 0.2]), AnalysisConfig(seed=1, fraction=0.3))
     with pytest.raises(ParameterError):
-        StressConfig(seed=1, fraction=0.0)
+        AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
-        StressConfig(seed=1, fraction=1.2)
+        AnalysisConfig(seed=1, fraction=1.2)
     with pytest.raises(ParameterError):
-        StressConfig(seed=-1)
+        AnalysisConfig(seed=-1)
 
 
 # --- vectorization ---
@@ -515,6 +514,25 @@ def test_analysis_config_validation():
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=-1)
+    # integers that are not ints, and bools, would reach the report or numpy as such
+    wrong_types = (
+        {"window": 5.0},
+        {"stride": True},
+        {"max_dim": 1.0},
+        {"max_dim": True},
+        {"seed": True},
+        {"seed": np.int64(1)},
+        {"fraction": True},
+        {"fraction": "0.5"},
+        {"threshold": True},
+    )
+    for fields in wrong_types:
+        with pytest.raises(ParameterError):
+            AnalysisConfig(**{"seed": 0, "threshold": 0.7, **fields})
+    # numpy integers are integers, and the report writes them as JSON numbers
+    cfg = AnalysisConfig(seed=11, window=np.int64(5), stride=np.int64(1), max_dim=np.int64(2))
+    config = json.loads(report_to_json(run_analysis(make_prices(30), cfg)))["config"]
+    assert (config["window"], config["stride"], config["max_dim"]) == (5, 1, 2)
 
 
 def test_preprocess_returns_and_stage_label():
