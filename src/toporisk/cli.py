@@ -21,10 +21,10 @@ import traceback
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ParameterError, PipelineError, TopoRiskError
+from .errors import ParameterError, PipelineError, TopoRiskError, check_param
 # perfbench/spans.py wraps clean_series, compute_returns and normalize here too
 from .ingest import clean_series, compute_returns, load_price_csv, normalize  # noqa: F401
-from .risk import check_alpha, tail_risk
+from .risk import tail_risk
 from .tda import write_diagram_csv
 from .tvard import (
     AnalysisConfig,
@@ -163,7 +163,7 @@ def _config(args: argparse.Namespace, **fields) -> AnalysisConfig:
 
 
 def cmd_var(args: argparse.Namespace) -> int:
-    check_alpha(args.alpha)
+    check_param("alpha", args.alpha)
     paths = [Path(p) for p in args.input]
     _unique_tickers(paths)
 

@@ -1,11 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the parameter rules.
 
 Every error raised by library code derives from ``TopoRiskError`` so callers
 can catch one type at the pipeline boundary while tests can assert on the
-specific failure class.
+specific failure class. ``check_param`` applies the one rule each named
+parameter has, raising ``ParameterError`` when a value breaks it.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+from typing import Any
 
 
 class TopoRiskError(Exception):
@@ -46,6 +51,30 @@ class DegenerateSeriesError(TopoRiskError):
 
 class ParameterError(TopoRiskError):
     """A caller-supplied parameter violates its documented range or shape."""
+
+
+# name -> (accepted kind, range test, wording); bool is never accepted. The seed
+# must be a Python int, because SplitMix64's masks need one.
+PARAMETER_RULES = {
+    "alpha": (numbers.Real, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "window": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),
+    "stride": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),
+    "max_dim": (numbers.Integral, lambda v: 0 <= v <= 2, "be 0, 1 or 2"),
+    "threshold": (
+        numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be a finite number >= 0 or None"
+    ),
+    "epsilon": (numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0"),
+    "fraction": (numbers.Real, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "seed": (int, lambda v: 0 <= v < 1 << 64, "be an unsigned 64-bit integer"),
+}
+
+
+def check_param(name: str, value: Any) -> int | float:
+    """``value`` as a plain Python float (a real rule) or int, if it obeys ``name``'s rule."""
+    kind, test, wording = PARAMETER_RULES[name]
+    if isinstance(value, bool) or not isinstance(value, kind) or not test(value):
+        raise ParameterError(f"{name} must {wording}, got {value!r}")
+    return float(value) if kind is numbers.Real else int(value)
 
 
 class InternalInvariantError(TopoRiskError):

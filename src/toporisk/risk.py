@@ -18,7 +18,9 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, check_param
+
+DEFAULT_ALPHA = 0.95
 
 # Relative slack when flooring alpha- and fraction-derived products.
 # (1 - 0.8) * 10 evaluates to 1.9999999999999996 in binary floating point;
@@ -56,13 +58,7 @@ def _as_returns(sample: Any) -> np.ndarray:
     return arr
 
 
-def check_alpha(alpha: float) -> None:
-    """Reject a confidence level outside (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def value_at_risk(sample: Any, alpha: float = 0.95) -> float:
+def value_at_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
     """Historical VaR at confidence alpha, in return units.
 
     ``sample`` is a 1-D array of returns or anything with a ``returns``
@@ -72,7 +68,7 @@ def value_at_risk(sample: Any, alpha: float = 0.95) -> float:
     return tail_risk(sample, alpha).var
 
 
-def conditional_var(sample: Any, alpha: float = 0.95) -> float:
+def conditional_var(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
     """Historical CVaR (expected shortfall) at confidence alpha, in return units.
 
     The arithmetic mean of the max(1, floor((1 - alpha) * n)) smallest
@@ -81,9 +77,9 @@ def conditional_var(sample: Any, alpha: float = 0.95) -> float:
     return tail_risk(sample, alpha).cvar
 
 
-def tail_risk(sample: Any, alpha: float = 0.95) -> TailRiskResult:
+def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> TailRiskResult:
     """VaR and CVaR of one sample bundled with the tail bookkeeping."""
-    check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     r = np.sort(_as_returns(sample))
     n = r.shape[0]
     k = snapped_floor((1.0 - alpha) * n)

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientDataError, InternalInvariantError, ParameterError
+from .errors import InsufficientDataError, InternalInvariantError, ParameterError, check_param
 
 DEFAULT_WINDOW = 10
 DEFAULT_STRIDE = 1
@@ -179,29 +178,6 @@ class PersistenceDiagramSet:
     max_dim: int
 
 
-def check_embedding(window: int, stride: int) -> None:
-    """Reject a delay-embedding window or stride that is not an integer >= 1 (bool is not)."""
-    for name, value in (("window", window), ("stride", stride)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def check_max_dim(max_dim: int) -> None:
-    """Reject a top homology dimension other than the integers 0, 1 or 2 (bool is not)."""
-    if isinstance(max_dim, bool) or not (
-        isinstance(max_dim, numbers.Integral) and 0 <= max_dim <= 2
-    ):
-        raise ParameterError(f"max_dim must be 0, 1 or 2, got {max_dim!r}")
-
-
-def check_threshold(threshold: float | None) -> None:
-    """Reject a Rips scale cap that is not a finite number >= 0 (bool is not); None means auto."""
-    if isinstance(threshold, bool) or threshold is not None and not (
-        isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold >= 0
-    ):
-        raise ParameterError(f"threshold must be a finite number >= 0 or None, got {threshold!r}")
-
-
 def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> PointCloud:
     """Embed a return series as overlapping windows in R^window.
 
@@ -209,7 +185,7 @@ def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT
     attribute. Produces floor((L - window) / stride) + 1 points; raises
     InsufficientDataError when the series is shorter than one window.
     """
-    check_embedding(window, stride)
+    window, stride = check_param("window", window), check_param("stride", stride)
     r = np.asarray(getattr(series, "returns", series), dtype=np.float64)
     if r.ndim != 1:
         raise ParameterError(f"series must be 1-D, got shape {r.shape}")
@@ -260,9 +236,8 @@ def build_rips_filtration(
     """
     entries = _dm_entries(dm)
     n = entries.shape[0]
-    check_max_dim(max_dim)
-    check_threshold(threshold)
-    thr = float(entries.max(initial=0.0) if threshold is None else threshold)
+    max_dim = check_param("max_dim", max_dim)
+    thr = float(entries.max(initial=0.0)) if threshold is None else check_param("threshold", threshold)
 
     upper = np.triu(entries <= thr, 1)
     # int32 vertex ids (the n x n float64 matrix bounds n) halve the
@@ -545,7 +520,7 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     reducing boundary matrices. Pairs with equal birth and death are
     dropped; unkilled classes of dimension <= max_dim get death = inf.
     """
-    check_max_dim(f.max_dim)
+    check_param("max_dim", f.max_dim)
     top = f.max_dim + 1
     if f.verts is None:
         verts, vals, labels = _to_arrays(f.simplices, top)
@@ -599,8 +574,7 @@ def betti_numbers_at(f: Filtration, epsilon: float) -> list[int]:
     This never consults the reduction pairing, so it serves as an
     independent check on compute_persistence.
     """
-    if not math.isfinite(epsilon) or epsilon < 0:
-        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
+    epsilon = check_param("epsilon", epsilon)
     pos: dict[int, dict[tuple[int, ...], int]] = {q: {} for q in range(4)}
     for s in f.simplices:
         if s.value <= epsilon:

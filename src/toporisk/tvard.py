@@ -23,44 +23,26 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError
+from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError, check_param
 from .ingest import PriceSeries, ReturnSeries, clean_series, compute_returns, normalize
-from .risk import check_alpha, snapped_floor, tail_risk
+from .risk import DEFAULT_ALPHA, snapped_floor, tail_risk
 from .tda import (
     DEFAULT_MAX_DIM,
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
     PersistenceDiagramSet,
     build_rips_filtration,
-    check_embedding,
-    check_max_dim,
-    check_threshold,
     compute_persistence,
     delay_embed,
     distance_matrix,
 )
 
 _U64 = (1 << 64) - 1
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed that is not a Python int in 0..2**64 - 1, as SplitMix64's masks need."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _U64:
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-
-
-def check_fraction(fraction: float) -> None:
-    """Reject a stress-sample fraction that is not a number in (0, 1]."""
-    if isinstance(fraction, bool) or not (
-        isinstance(fraction, numbers.Real) and 0.0 < fraction <= 1.0
-    ):
-        raise ParameterError(f"fraction must lie in (0, 1], got {fraction!r}")
 
 
 class SplitMix64:
@@ -73,8 +55,7 @@ class SplitMix64:
     GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        check_seed(seed)
-        self._state = seed
+        self._state = check_param("seed", seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + self.GAMMA) & _U64
@@ -341,7 +322,7 @@ class AnalysisConfig:
     """Everything run_analysis needs beyond the price series itself."""
 
     seed: int
-    alpha: float = 0.95
+    alpha: float = DEFAULT_ALPHA
     window: int = DEFAULT_WINDOW
     stride: int = DEFAULT_STRIDE
     max_dim: int = DEFAULT_MAX_DIM
@@ -350,12 +331,11 @@ class AnalysisConfig:
     with_bottleneck: bool = False
 
     def __post_init__(self):
-        check_alpha(self.alpha)
-        check_embedding(self.window, self.stride)
-        check_max_dim(self.max_dim)
-        check_threshold(self.threshold)
-        check_fraction(self.fraction)
-        check_seed(self.seed)
+        # store each as a plain int or float, so the report holds only JSON numbers
+        for name in ("alpha", "window", "stride", "max_dim", "threshold", "fraction", "seed"):
+            value = getattr(self, name)
+            if value is not None or name != "threshold":
+                object.__setattr__(self, name, check_param(name, value))
 
 
 @dataclass(frozen=True)
@@ -394,10 +374,9 @@ def report_to_json(report: RiskReport) -> str:
         "tvard": report.tvard,
         "bottleneck": report.bottleneck,
         "config": {
-            # int(): a numpy integer is a valid window but not JSON
-            "window": int(cfg.window),
-            "stride": int(cfg.stride),
-            "max_dim": int(cfg.max_dim),
+            "window": cfg.window,
+            "stride": cfg.stride,
+            "max_dim": cfg.max_dim,
             "threshold": "auto" if cfg.threshold is None else cfg.threshold,
             "fraction": cfg.fraction,
             "seed": cfg.seed,

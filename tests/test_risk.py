@@ -73,11 +73,13 @@ def test_snapped_floor():
 
 
 def test_parameter_validation():
-    for alpha in (0.0, 1.0, 1.5, -0.2):
+    for alpha in (0.0, 1.0, 1.5, -0.2, math.nan, "0.9", True):
         with pytest.raises(ParameterError):
             value_at_risk([0.01, 0.02], alpha)
         with pytest.raises(ParameterError):
             conditional_var([0.01, 0.02], alpha)
+        with pytest.raises(ParameterError):
+            tail_risk([0.01, 0.02], alpha)
     with pytest.raises(InsufficientDataError):
         value_at_risk([], 0.95)
     with pytest.raises(ParameterError):

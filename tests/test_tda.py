@@ -831,8 +831,9 @@ def test_betti_examples():
     assert betti_numbers_at(f, 1.0) == [1, 1, 0]
     assert betti_numbers_at(f, SQRT2) == [1, 0, 0]
     assert betti_numbers_at(f, 0.5) == [4, 0, 0]
-    with pytest.raises(ParameterError):
-        betti_numbers_at(f, -0.1)
+    for epsilon in (-0.1, math.inf, "1", True):
+        with pytest.raises(ParameterError):
+            betti_numbers_at(f, epsilon)
 
 
 def test_euler_characteristic_at_threshold():

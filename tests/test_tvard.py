@@ -525,6 +525,8 @@ def test_analysis_config_validation():
         {"fraction": True},
         {"fraction": "0.5"},
         {"threshold": True},
+        {"alpha": "0.9"},
+        {"alpha": True},
     )
     for fields in wrong_types:
         with pytest.raises(ParameterError):
@@ -533,6 +535,13 @@ def test_analysis_config_validation():
     cfg = AnalysisConfig(seed=11, window=np.int64(5), stride=np.int64(1), max_dim=np.int64(2))
     config = json.loads(report_to_json(run_analysis(make_prices(30), cfg)))["config"]
     assert (config["window"], config["stride"], config["max_dim"]) == (5, 1, 2)
+    # numpy floats are stored, and reported, as plain floats
+    for name, value in (("alpha", 0.9), ("threshold", 0.7), ("fraction", 0.5)):
+        value = np.float32(value)
+        cfg = AnalysisConfig(**{"seed": 0, "threshold": 0.7, name: value})
+        report = json.loads(report_to_json(run_analysis(make_prices(80), cfg)))
+        reported = report["alpha"] if name == "alpha" else report["config"][name]
+        assert type(getattr(cfg, name)) is float and reported == float(value)
 
 
 def test_preprocess_returns_and_stage_label():
