@@ -8,6 +8,7 @@ parameter has, raising ``ParameterError`` when a value breaks it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from typing import Any
@@ -72,9 +73,14 @@ PARAMETER_RULES = {
 def check_param(name: str, value: Any) -> int | float:
     """``value`` as a plain Python float (a real rule) or int, if it obeys ``name``'s rule."""
     kind, test, wording = PARAMETER_RULES[name]
-    if isinstance(value, bool) or not isinstance(value, kind) or not test(value):
+    number = None
+    if not isinstance(value, bool) and isinstance(value, kind):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            number = float(value) if kind is numbers.Real else int(value)
+    # the rule is tested on the number returned, not on the value given
+    if number is None or not test(number):
         raise ParameterError(f"{name} must {wording}, got {value!r}")
-    return float(value) if kind is numbers.Real else int(value)
+    return number
 
 
 class InternalInvariantError(TopoRiskError):

@@ -11,12 +11,15 @@ the earliest, skipping simplices already paired in the dimension below).
 The filtration stays in numpy arrays from the build to the reduction:
 one vertex array and one value array per dimension. Each simplex is
 keyed in the combinatorial number system (as in Ripser: Bauer, J. Appl.
-Comput. Topol. 5, 2021), so its facets are found by ``np.searchsorted``
-on keys, and one sort gives the coboundary columns as CSR: one flat
-coface array plus per-simplex offsets. Most columns are apparent pairs
-(a simplex whose earliest coface has it as latest facet), paired on the
-arrays; Python reads a column from the CSR, as a list, only when it
-reduces the rest. ``Simplex`` tuples are made only when a caller reads
+Comput. Topol. 5, 2021). A key addresses a dense index of each
+dimension's positions, so every facet is found by one gather; only when
+that index would exceed ``_INDEX_SLOTS`` slots (tetrahedra on more than
+370 points) are facets found by ``np.searchsorted`` on sorted keys. One
+sort gives the coboundary columns as CSR: one flat coface array plus
+per-simplex offsets. Most columns are apparent pairs (a simplex whose
+earliest coface has it as latest facet), paired on the arrays; Python
+reads a column from the CSR, as a list, only when it reduces the rest.
+``Simplex`` tuples are made only when a caller reads
 ``Filtration.simplices``.
 
 Two deliberate reading choices are worth knowing about:
@@ -339,6 +342,11 @@ def _to_arrays(simplices: tuple, top: int) -> tuple[list, list, np.ndarray]:
     return verts, vals, labels
 
 
+# Slot cap of the dense facet index: 16 MiB at uint16 positions, 32 MiB at
+# uint32. Tetrahedra on up to 370 points, and triangles on up to 4,096, fit.
+_INDEX_SLOTS = 1 << 23
+
+
 def _facet_positions(
     verts: Sequence[np.ndarray],
     vals: Sequence[np.ndarray],
@@ -355,6 +363,17 @@ def _facet_positions(
     with ``facets[q][i, j]`` the position among the (q-1)-simplices of
     q-simplex i's facet without vertex j, for q = 1..top. ``labels`` maps
     array vertices back to the caller's for messages.
+
+    Facets are found by key, and (q-1)-simplex keys on m vertices are
+    below C(m, q). Up to ``_INDEX_SLOTS`` such slots (2**23, so the index
+    takes at most 16 MiB at uint16), the positions of the (q-1)-simplices
+    are scattered into a dense index of the smallest unsigned dtype that
+    holds their count, each empty slot holding the count itself (the
+    padded slot past the end), and each dropped vertex costs one gather.
+    Above the cap (C(2512, 3) is 2.6e9 at ten years of daily returns)
+    facets are found by ``np.searchsorted`` on the sorted keys. Either
+    way a missing face lands on the padded NaN value, which fails the
+    check that a face is valued at or below its coface.
     """
 
     def name(row: np.ndarray) -> tuple[int, ...]:
@@ -386,18 +405,31 @@ def _facet_positions(
         duplicate[order[1:]] = keys[1:] == keys[:-1]
         fail("duplicate simplex {}", q, duplicate)
         if q:
-            # a padded slot past the end matches no key and has an infinite value
-            padded_keys, padded_order = np.append(below_keys, -1), np.append(below_order, -1)
-            padded_vals = np.append(vals[q - 1], np.inf)
+            # a padded slot past the end matches no key, and its NaN value is
+            # at or below no coface value, infinite ones included
+            padded_vals = np.append(vals[q - 1], np.nan)
+            slots = math.comb(len(table), q)
+            dense = slots <= _INDEX_SLOTS
+            if dense:
+                # (q-1)-simplex keys are below C(m, q); empty slots point at the pad
+                count = len(below_order)
+                index = np.full(slots, count, dtype=np.min_scalar_type(count))
+                index[below_keys] = below_order
+            else:
+                padded_keys, padded_order = np.append(below_keys, -1), np.append(below_order, -1)
             pos = np.empty(v.shape, dtype=np.intp)
             for j in range(q + 1):
                 face_keys = _keys([v[:, i] for i in range(q + 1) if i != j], table)
-                # queries in key order walk the sorted keys in one direction
-                by_key = np.argsort(face_keys)
-                loc = np.empty_like(by_key)
-                loc[by_key] = np.searchsorted(below_keys, face_keys[by_key])
-                pos[:, j] = padded_order[loc]
-                ok = (padded_keys[loc] == face_keys) & (padded_vals[pos[:, j]] <= x)
+                if dense:
+                    pos[:, j] = index[face_keys]
+                    ok = padded_vals[pos[:, j]] <= x
+                else:
+                    # queries in key order walk the sorted keys in one direction
+                    by_key = np.argsort(face_keys)
+                    loc = np.empty_like(by_key)
+                    loc[by_key] = np.searchsorted(below_keys, face_keys[by_key])
+                    pos[:, j] = padded_order[loc]
+                    ok = (padded_keys[loc] == face_keys) & (padded_vals[pos[:, j]] <= x)
                 if not ok.all():
                     row = v[np.argmax(~ok)]
                     face = name(np.delete(row, j))

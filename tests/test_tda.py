@@ -253,8 +253,9 @@ def test_rips_validation():
             build_rips_filtration(dm, max_dim=max_dim)
     with pytest.raises(ParameterError):
         build_rips_filtration(dm, max_dim=1, threshold=True)
-    with pytest.raises(ParameterError):
-        build_rips_filtration(dm, max_dim=2, threshold=-0.5)
+    for threshold in (-0.5, 10**400):
+        with pytest.raises(ParameterError, match="threshold must"):
+            build_rips_filtration(dm, max_dim=2, threshold=threshold)
     auto = build_rips_filtration(dm + np.array([[0, 1], [1, 0]]), 1, None)
     assert auto.threshold == 1.0
     # None is the only spelling of auto, here as in AnalysisConfig and the CLI
@@ -426,6 +427,26 @@ def test_zero_persistence_pairs_suppressed():
     assert all(death > birth for q in d.diagrams for birth, death in d.diagrams[q])
 
 
+def on_both_lookup_paths(call) -> tuple:
+    """``call()`` with facets found through the dense key index, then by sort and search."""
+    dense = call()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tda, "_INDEX_SLOTS", 0)
+        return dense, call()
+
+
+def assert_raises_alike_on_both_paths(f: Filtration, match: str | None = None) -> None:
+    """compute_persistence(f) raises the same InternalInvariantError on both lookup paths."""
+
+    def raised() -> tuple:
+        with pytest.raises(InternalInvariantError, match=match) as info:
+            compute_persistence(f)
+        return type(info.value), str(info.value)
+
+    dense, searched = on_both_lookup_paths(raised)
+    assert dense == searched
+
+
 def test_malformed_filtrations_rejected():
     tri_before_edges = Filtration(
         (
@@ -437,14 +458,12 @@ def test_malformed_filtrations_rejected():
         1.0,
         1,
     )
-    with pytest.raises(InternalInvariantError):
-        compute_persistence(tri_before_edges)
+    assert_raises_alike_on_both_paths(tri_before_edges)
 
     above_threshold = Filtration(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 2.0)), 1.0, 0
     )
-    with pytest.raises(InternalInvariantError):
-        compute_persistence(above_threshold)
+    assert_raises_alike_on_both_paths(above_threshold)
 
     # a NaN edge would merge its vertices yet leave no H0 pair; a NaN
     # threshold would admit every value
@@ -455,14 +474,12 @@ def test_malformed_filtrations_rejected():
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 5.0)), math.nan, 0
     )
     for f in (nan_value, nan_threshold):
-        with pytest.raises(InternalInvariantError, match="threshold"):
-            compute_persistence(f)
+        assert_raises_alike_on_both_paths(f, "threshold")
 
     bad_vertex_order = Filtration(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((1, 0), 1.0)), 1.0, 0
     )
-    with pytest.raises(InternalInvariantError):
-        compute_persistence(bad_vertex_order)
+    assert_raises_alike_on_both_paths(bad_vertex_order)
 
     verts3 = tuple(Simplex((i,), 0.0) for i in range(3))
     face_above_coface = Filtration(
@@ -476,34 +493,35 @@ def test_malformed_filtrations_rejected():
         2.0,
         1,
     )
-    with pytest.raises(InternalInvariantError, match="face"):
-        compute_persistence(face_above_coface)
+    assert_raises_alike_on_both_paths(face_above_coface, "face")
 
     edge_over_missing_vertex = Filtration(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), 1.0)), 1.0, 0
     )
-    with pytest.raises(InternalInvariantError, match="face"):
-        compute_persistence(edge_over_missing_vertex)
+    assert_raises_alike_on_both_paths(edge_over_missing_vertex, "face")
+    # an infinite coface value, within an infinite threshold, hides no missing face
+    infinite_over_missing_vertex = Filtration(
+        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), math.inf)), math.inf, 0
+    )
+    assert_raises_alike_on_both_paths(infinite_over_missing_vertex, r"face \(2,\) of \(0, 2\)")
 
     duplicate = Filtration(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0), Simplex((0, 1), 1.0)),
         1.0,
         0,
     )
-    with pytest.raises(InternalInvariantError):
-        compute_persistence(duplicate)
+    assert_raises_alike_on_both_paths(duplicate)
 
     verts4 = tuple(Simplex((i,), 0.0) for i in range(4))
     edges4 = tuple(Simplex(e, 1.0) for e in itertools.combinations(range(4), 2))
     tris4 = tuple(Simplex(t, 1.0) for t in itertools.combinations(range(4), 3))
     tet = (Simplex((0, 1, 2, 3), 1.0),)
-    with pytest.raises(InternalInvariantError):
-        compute_persistence(Filtration(verts4 + edges4 + tris4[:3] + tet, 1.0, 1))
-    with pytest.raises(InternalInvariantError, match="face"):
-        compute_persistence(Filtration(verts4 + edges4 + tris4[:3] + tet, 1.0, 2))
+    open_tet = verts4 + edges4 + tris4[:3] + tet
+    assert_raises_alike_on_both_paths(Filtration(open_tet, 1.0, 1))
+    assert_raises_alike_on_both_paths(Filtration(open_tet, 1.0, 2), "face")
     # the same tetrahedron with all four triangles is still one dimension too many
-    with pytest.raises(InternalInvariantError, match="exceeds dimension"):
-        compute_persistence(Filtration(verts4 + edges4 + tris4 + tet, 1.0, 1))
+    closed_tet = verts4 + edges4 + tris4 + tet
+    assert_raises_alike_on_both_paths(Filtration(closed_tet, 1.0, 1), "exceeds dimension")
 
 
 def test_filtration_max_dim_out_of_range_rejected():
@@ -804,6 +822,85 @@ def test_columns_on_each_side_of_16_bit_sort_keys(right):
     assert d.diagrams[1] == ((1.0, 3.0),) + ((1.0, math.inf),) * loops + ((2.0, 3.0),)
 
 
+# --- facet lookup: the dense key index against sort and search ---
+
+
+def assert_both_paths_find_the_same_facets(f: Filtration) -> None:
+    """On the builder's arrays, if any, and on the simplices as a caller's tuple."""
+    top = f.max_dim + 1
+    inputs = [tda._to_arrays(f.simplices, top)]
+    if f.verts is not None:
+        inputs.append((f.verts, f.vals, None))
+    for verts, vals, labels in inputs:
+        dense, searched = on_both_lookup_paths(
+            lambda: tda._facet_positions(verts, vals, f.threshold, top, labels)
+        )
+        assert len(dense) == len(searched) == top + 1
+        for got, want in zip(dense, searched):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_facet_lookup_paths_agree_on_tie_heavy_clouds():
+    rng = random.Random(44)
+    for trial in range(120):
+        dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
+        threshold = None
+        if trial % 2 and dm.n > 1:
+            dists = dm.entries[np.triu_indices(dm.n, 1)]
+            threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
+        assert_both_paths_find_the_same_facets(build_rips_filtration(dm, trial % 3, threshold))
+    # caller labels far apart, relabelled before keying
+    big = 10**15
+    far = Filtration(
+        (Simplex((-7,), 0.0), Simplex((10,), 0.0), Simplex((big,), 0.0))
+        + (Simplex((-7, 10), 1.0), Simplex((-7, big), 1.0), Simplex((10, big), 1.0))
+        + (Simplex((-7, 10, big), 1.0),),
+        1.0,
+        1,
+    )
+    assert_both_paths_find_the_same_facets(far)
+
+
+def test_facet_lookup_paths_agree_on_fixture_at_5_percent(synthetic_csv, monkeypatch):
+    dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    f = build_rips_filtration(dm, 2, threshold)
+    assert_both_paths_find_the_same_facets(f)
+
+    # 241 points, the W1 and W2 shape, and 141, the desk shape, look every
+    # facet up in the index: the largest, for the tetrahedra, has C(n, 3) slots
+    assert dm.n == 241 and math.comb(241, 3) <= tda._INDEX_SLOTS
+    assert math.comb(141, 3) <= tda._INDEX_SLOTS
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("facet found by np.searchsorted")
+
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    tda._facet_positions(f.verts, f.vals, f.threshold, 3)
+
+
+@pytest.mark.parametrize("count", [255, 256, 65_535, 65_536])
+def test_facet_index_empty_slots_on_each_side_of_a_dtype(count):
+    # ``count`` edges: a triangle's three, then the first of K_{256, 256}'s.
+    # Empty index slots hold ``count``, which fits uint8 (uint16) at 255
+    # (65,535) and widens the index to uint16 (uint32) at 256 (65,536)
+    bipartite = [(a, b) for a in range(256) for b in range(256, 512)]
+    edges = sorted([(0, 1), (0, 2), (1, 2)] + bipartite[: count - 3])
+    simplices = (
+        tuple(Simplex((v,), 0.0) for v in range(512))
+        + tuple(Simplex(e, 1.0) for e in edges)
+        + (Simplex((0, 1, 2), 2.0),)
+    )
+    assert len(edges) == len(set(edges)) == count
+    f = Filtration(simplices, 3.0, 1)
+    assert_both_paths_find_the_same_facets(f)
+    # the triangle kills the loop its edges close
+    assert compute_persistence(f).diagrams[1][0] == (1.0, 2.0)
+    # (256, 257) is no edge, so the triangle on it lacks a face
+    missing = Filtration(simplices + (Simplex((0, 256, 257), 3.0),), 3.0, 1)
+    assert_raises_alike_on_both_paths(missing, r"face \(256, 257\) of \(0, 256, 257\) missing")
+
+
 def test_pairing_matches_betti_numbers():
     rng = random.Random(35)
     for _ in range(40):
@@ -831,8 +928,8 @@ def test_betti_examples():
     assert betti_numbers_at(f, 1.0) == [1, 1, 0]
     assert betti_numbers_at(f, SQRT2) == [1, 0, 0]
     assert betti_numbers_at(f, 0.5) == [4, 0, 0]
-    for epsilon in (-0.1, math.inf, "1", True):
-        with pytest.raises(ParameterError):
+    for epsilon in (-0.1, math.inf, "1", True, 10**400):
+        with pytest.raises(ParameterError, match="epsilon must"):
             betti_numbers_at(f, epsilon)
 
 

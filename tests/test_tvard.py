@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -510,6 +511,12 @@ def test_analysis_config_validation():
         AnalysisConfig(seed=1, max_dim=5)
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=1, threshold=-2.0)
+    # an int beyond float range is refused by the rule, not by float(), and
+    # the rule holds for the float stored: this alpha rounds to 0.0
+    with pytest.raises(ParameterError, match="threshold must be a finite number"):
+        AnalysisConfig(seed=1, threshold=10**400)
+    with pytest.raises(ParameterError, match="alpha must"):
+        AnalysisConfig(seed=1, alpha=Fraction(1, 10**400))
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
