@@ -25,7 +25,7 @@ from .errors import ParameterError, PipelineError, TopoRiskError, check_param
 # perfbench/spans.py wraps clean_series, compute_returns and normalize here too
 from .ingest import clean_series, compute_returns, load_price_csv, normalize  # noqa: F401
 from .risk import tail_risk
-from .tda import write_diagram_csv
+from .tda import _format_value as _fmt, write_diagram_csv
 from .tvard import (
     AnalysisConfig,
     _diagrams_for,
@@ -83,10 +83,6 @@ def _emit(args: argparse.Namespace, text: str) -> bool:
         _report_error(Path(args.output), exc)
         return False
     return True
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def _stage_of(exc: Exception) -> str:
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=AnalysisConfig.alpha,
                        help=f"confidence level in (0, 1), default {AnalysisConfig.alpha}")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="tickers processed concurrently, default 1")
+                       help="tickers run at a time on threads, default 1")
     return parser
 
 

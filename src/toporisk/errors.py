@@ -8,7 +8,6 @@ parameter has, raising ``ParameterError`` when a value breaks it.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from typing import Any
@@ -73,13 +72,18 @@ PARAMETER_RULES = {
 def check_param(name: str, value: Any) -> int | float:
     """``value`` as a plain Python float (a real rule) or int, if it obeys ``name``'s rule."""
     kind, test, wording = PARAMETER_RULES[name]
-    number = None
+    number = got = None
     if not isinstance(value, bool) and isinstance(value, kind):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            number = float(value) if kind is numbers.Real else int(value)
+        try:
+            number = float(value)  # every rule, integral ones too, holds to float range
+        except OverflowError:
+            # repr may refuse this many digits; the bit length always prints
+            got = f"a number beyond float range ({int(value).bit_length()} bits)"
+        else:
+            number = number if kind is numbers.Real else int(value)
     # the rule is tested on the number returned, not on the value given
     if number is None or not test(number):
-        raise ParameterError(f"{name} must {wording}, got {value!r}")
+        raise ParameterError(f"{name} must {wording}, got {got or repr(value)}")
     return number
 
 

@@ -41,6 +41,7 @@ paths check each other; do not reimplement one in terms of the other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -108,10 +109,6 @@ class Simplex(NamedTuple):
 
     vertices: tuple[int, ...]
     value: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -205,12 +202,6 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     return DistanceMatrix(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
-def _dm_entries(dm: Union[DistanceMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(dm, DistanceMatrix):
-        return dm.entries
-    return DistanceMatrix(np.asarray(dm, dtype=np.float64)).entries
-
-
 def build_rips_filtration(
     dm: Union[DistanceMatrix, np.ndarray],
     max_dim: int = DEFAULT_MAX_DIM,
@@ -237,7 +228,7 @@ def build_rips_filtration(
     enumeration is O(n^4) at that scale, so large clouds want an explicit
     threshold.
     """
-    entries = _dm_entries(dm)
+    entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
     n = entries.shape[0]
     max_dim = check_param("max_dim", max_dim)
     thr = float(entries.max(initial=0.0)) if threshold is None else check_param("threshold", threshold)
@@ -318,7 +309,8 @@ def _to_arrays(simplices: tuple, top: int) -> tuple[list, list, np.ndarray]:
     """
     vertices, values = zip(*simplices) if simplices else ((), ())
     sizes = np.fromiter(map(len, vertices), dtype=np.intp, count=len(vertices))
-    values = np.array(values, dtype=np.float64)
+    # + 0.0 reads a caller's -0.0 as the 0.0 the builder gives
+    values = np.array(values, dtype=np.float64) + 0.0
     if np.any(sizes == 0):
         raise InternalInvariantError("simplex () has no vertices")
     dims = sizes - 1
@@ -340,6 +332,20 @@ def _to_arrays(simplices: tuple, top: int) -> tuple[list, list, np.ndarray]:
         verts.append(relabelled[first[idx, None] + np.arange(q + 1)])
         vals.append(values[idx])
     return verts, vals, labels
+
+
+def _search(keys: np.ndarray, order: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``order[i]`` for each query equal to ``keys[i]``, ``len(keys)`` for one equal to none.
+
+    ``keys`` ascend. The queries are searched in key order, so the search
+    walks the keys in one direction.
+    """
+    by_key = np.argsort(queries)
+    first, last = (np.searchsorted(keys, queries[by_key], side) for side in ("left", "right"))
+    pos = np.empty_like(by_key)
+    # a key equal to the query lies between its two insertion points
+    pos[by_key] = np.where(last > first, np.append(order, len(keys))[first], len(keys))
+    return pos
 
 
 # Slot cap of the dense facet index: 16 MiB at uint16 positions, 32 MiB at
@@ -405,31 +411,22 @@ def _facet_positions(
         duplicate[order[1:]] = keys[1:] == keys[:-1]
         fail("duplicate simplex {}", q, duplicate)
         if q:
-            # a padded slot past the end matches no key, and its NaN value is
-            # at or below no coface value, infinite ones included
+            # a missing face is given the padded slot past the end, whose NaN
+            # value is at or below no coface value, infinite ones included
             padded_vals = np.append(vals[q - 1], np.nan)
             slots = math.comb(len(table), q)
-            dense = slots <= _INDEX_SLOTS
-            if dense:
+            if slots <= _INDEX_SLOTS:
                 # (q-1)-simplex keys are below C(m, q); empty slots point at the pad
                 count = len(below_order)
                 index = np.full(slots, count, dtype=np.min_scalar_type(count))
                 index[below_keys] = below_order
+                lookup = index.__getitem__
             else:
-                padded_keys, padded_order = np.append(below_keys, -1), np.append(below_order, -1)
+                lookup = functools.partial(_search, below_keys, below_order)
             pos = np.empty(v.shape, dtype=np.intp)
             for j in range(q + 1):
-                face_keys = _keys([v[:, i] for i in range(q + 1) if i != j], table)
-                if dense:
-                    pos[:, j] = index[face_keys]
-                    ok = padded_vals[pos[:, j]] <= x
-                else:
-                    # queries in key order walk the sorted keys in one direction
-                    by_key = np.argsort(face_keys)
-                    loc = np.empty_like(by_key)
-                    loc[by_key] = np.searchsorted(below_keys, face_keys[by_key])
-                    pos[:, j] = padded_order[loc]
-                    ok = (padded_keys[loc] == face_keys) & (padded_vals[pos[:, j]] <= x)
+                pos[:, j] = lookup(_keys([v[:, i] for i in range(q + 1) if i != j], table))
+                ok = padded_vals[pos[:, j]] <= x
                 if not ok.all():
                     row = v[np.argmax(~ok)]
                     face = name(np.delete(row, j))
@@ -466,17 +463,19 @@ def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
 
 
-def _merge_edges(n: int, edges: list[list[int]]) -> np.ndarray:
-    """Positions of the edges, in filtration order, that join two components.
+def _merge_edges(facets: np.ndarray, count: int, cleared: np.ndarray | None) -> tuple:
+    """Dimension-0 pairing of ``count`` vertices, with ``_reduce_coboundaries``'s contract.
 
-    ``edges`` are each edge's two vertex positions among ``n`` vertices.
-    A forest of parent links with path halving tracks the components;
-    the edges returned are the dimension-0 deaths (Kruskal's minimum
-    spanning forest, since edges come in filtration order).
+    ``facets`` holds the edges' vertex positions, edges in filtration
+    order; no vertex died below dimension 0, so ``cleared`` is unused. A
+    forest of parent links with path halving tracks the components, and
+    each edge that joins two (Kruskal's minimum spanning forest) absorbs
+    one root. Returns the absorbed roots, their absorbing edges and the
+    surviving roots: the paired columns, their pivots and the zero columns.
     """
-    parent = list(range(n))
-    merged = []
-    for i, (u, v) in enumerate(edges):
+    parent = list(range(count))
+    pairs = []
+    for i, (u, v) in enumerate(facets.tolist()):
         # halving: u's link skips to its grandparent, which u then becomes
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -484,8 +483,9 @@ def _merge_edges(n: int, edges: list[list[int]]) -> np.ndarray:
             parent[v] = v = parent[parent[v]]
         if u != v:
             parent[u] = v
-            merged.append(i)
-    return np.array(merged, dtype=np.intp)
+            pairs.append((u, i))
+    roots, edges = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return roots, edges, np.flatnonzero(np.array(parent) == np.arange(count))
 
 
 def _reduce_coboundaries(facets: np.ndarray, count: int, cleared: np.ndarray) -> tuple:
@@ -542,15 +542,18 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     values within the threshold, dimension at most max_dim + 1, no
     duplicates, every facet present and valued at or below its coface)
     and locates each facet by its combinatorial-number-system key.
-    Dimension 0 takes its deaths from the merging edges (``_merge_edges``); each
-    dimension q = 1..max_dim then reduces the coboundary columns of its
-    q-simplices over Z/2 from the latest to the earliest, skipping the
-    q-simplices that already died in dimension q - 1 (clearing). The
-    columns are one CSR from a sort; apparent pairs and empty columns are
-    decided on its arrays, and Python reduces the rest, making a column a
-    list only when it reads it. Over a field this gives the same pairs as
-    reducing boundary matrices. Pairs with equal birth and death are
-    dropped; unkilled classes of dimension <= max_dim get death = inf.
+    Every dimension q = 0..max_dim is paired under one contract: the
+    pairing returns the q-simplices it pairs (columns), the (q+1)-simplex
+    that kills each (pivots), and the q-simplices nothing kills (zero
+    columns). Dimension 0 pairs by union-find over the edges
+    (``_merge_edges``); each q >= 1 reduces the coboundary columns of its
+    q-simplices over Z/2 from the latest to the earliest, skipping those
+    that are pivots of dimension q - 1 (clearing). The columns are one CSR
+    from a sort; apparent pairs and empty columns are decided on its
+    arrays, and Python reduces the rest, making a column a list only when
+    it reads it. Over a field this gives the same pairs as reducing
+    boundary matrices. A pair is kept when its death exceeds its birth; a
+    zero column is an essential class, dying at inf.
     """
     check_param("max_dim", f.max_dim)
     top = f.max_dim + 1
@@ -560,26 +563,17 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
         verts, vals, labels = f.verts, f.vals, None
     facets = _facet_positions(verts, vals, f.threshold, top, labels)
 
-    diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
-
-    # dimension 0: elder rule is trivial because every vertex is born at 0
-    merged = _merge_edges(len(vals[0]), facets[1].tolist())
-    cleared = np.zeros(len(vals[1]), dtype=bool)
-    cleared[merged] = True
-    deaths = vals[1][merged]
-    diagrams[0].extend((0.0, death) for death in deaths[deaths > 0.0].tolist())
-    diagrams[0].extend([(0.0, math.inf)] * (len(vals[0]) - len(merged)))
-
-    for q in range(1, f.max_dim + 1):
-        idx, pivots, zeros = _reduce_coboundaries(facets[q + 1], len(vals[q]), cleared)
+    diagrams, cleared = {}, None
+    for q in range(f.max_dim + 1):
+        pair = _reduce_coboundaries if q else _merge_edges
+        idx, pivots, zeros = pair(facets[q + 1], len(vals[q]), cleared)
         births, deaths = vals[q][idx], vals[q + 1][pivots]
         alive = deaths > births
-        diagrams[q].extend(zip(births[alive].tolist(), deaths[alive].tolist()))
-        diagrams[q].extend((birth, math.inf) for birth in vals[q][zeros].tolist())
+        pairs = list(zip(births[alive].tolist(), deaths[alive].tolist()))
+        pairs.extend((birth, math.inf) for birth in vals[q][zeros].tolist())
+        diagrams[q] = tuple(sorted(pairs))
         cleared = np.bincount(pivots, minlength=len(vals[q + 1])) > 0
-
-    final = {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
-    return PersistenceDiagramSet(final, f.threshold, f.max_dim)
+    return PersistenceDiagramSet(diagrams, f.threshold, f.max_dim)
 
 
 def _gf2_rank(columns: list[int]) -> int:
@@ -628,7 +622,8 @@ def betti_numbers_at(f: Filtration, epsilon: float) -> list[int]:
 
 
 def _format_value(x: float) -> str:
-    return "inf" if math.isinf(x) else format(x, ".12g")
+    """A number as every table prints it: 12 significant digits, ``inf`` for infinity."""
+    return format(x, ".12g")
 
 
 def write_diagram_csv(diagrams: PersistenceDiagramSet, dest: Union[str, Path, IO[str]]) -> None:

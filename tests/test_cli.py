@@ -275,24 +275,49 @@ print(json.dumps({
 """
 
 
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports this checkout's toporisk."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_analyze_pass_imports_nothing(tmp_path):
     # a fresh interpreter, as a shell user's call: an import inside the
     # pass is paid on every call; compared before and after, not by name,
     # because numpy 1.x imports numpy.ma eagerly and 2.x on first use
     csv = make_csv(tmp_path)
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     argv = [
         "analyze", "--input", str(csv), "--seed", "9", "--window", "5",
         "--threshold", "0.7", "--bottleneck", "--output", str(tmp_path / "r"),
     ]
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORTS_DURING_PASS, *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
+    done = run_fresh("-c", IMPORTS_DURING_PASS, *argv)
+    assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"code": 0, "gained": [], "futures": False}
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_module_entry_point_exit_status(tmp_path, status):
+    # ``python -m toporisk`` exits with main's status: 0 when every ticker
+    # succeeds, 1 when one fails, 2 on a flag argparse refuses
+    good = str(make_csv(tmp_path, "GOOD"))
+    argv = {
+        0: ["var", "--input", good],
+        1: ["var", "--input", str(tmp_path / "MISSING.csv"), good],
+        2: ["var", "--input", good, "--no-such-flag"],
+    }[status]
+    done = run_fresh("-m", "toporisk", *argv)
+    assert done.returncode == status, done.stderr
+    if status < 2:
+        assert done.stdout.splitlines()[-1].startswith("GOOD,")
+    if status == 1:
+        assert done.stderr.startswith("error [io]") and "MISSING.csv" in done.stderr
+    if status == 2:
+        assert done.stdout == "" and "--no-such-flag" in done.stderr
 
 
 def test_analyze_json_summary(tmp_path, capsys):

@@ -181,6 +181,9 @@ def test_delay_embed_validation():
             delay_embed([1, 2, 3], window=window, stride=stride)
     with pytest.raises(ParameterError):
         delay_embed(np.zeros((2, 2)), window=2)
+    # refused by the rule, before the length check would print it
+    with pytest.raises(ParameterError, match="window must"):
+        delay_embed([1, 2, 3], window=10**5000)
 
 
 def test_delay_embed_accepts_return_series():
@@ -554,6 +557,10 @@ def test_caller_tuples_checked_like_builder_arrays():
         (Simplex((0.2,), 0.0), Simplex((0.7,), 0.0), Simplex((0.2, 0.7), 1.0)), 1.0, 0
     )
     assert compute_persistence(near).diagrams == {0: ((0.0, 1.0), (0.0, math.inf))}
+    # a caller's -0.0 vertex is born at 0.0, which prints as 0, not -0
+    signed = Filtration((Simplex((0,), -0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0)), 1.0, 0)
+    births = [birth for birth, _ in compute_persistence(signed).diagrams[0]]
+    assert [math.copysign(1.0, birth) for birth in births] == [1.0, 1.0]
     # messages name the caller's labels
     with pytest.raises(InternalInvariantError, match=rf"face \(10, {big}\) of \(-7, 10, {big}\)"):
         compute_persistence(Filtration(far.simplices + (Simplex((-7, 10, big), 1.0),), 1.0, 1))
@@ -877,6 +884,65 @@ def test_facet_lookup_paths_agree_on_fixture_at_5_percent(synthetic_csv, monkeyp
 
     monkeypatch.setattr(np, "searchsorted", no_search)
     tda._facet_positions(f.verts, f.vals, f.threshold, 3)
+
+
+def test_sort_path_at_its_real_trigger(monkeypatch):
+    # 400 points: the tetrahedra's facet index would need C(400, 3) > 2**23
+    # slots, so triangles are found by sort and search, with no patch
+    pts = np.random.default_rng(0).standard_normal((400, 3))
+    dm = distance_matrix(PointCloud(pts))
+    f = build_rips_filtration(dm, 2, float(np.quantile(dm.entries[np.triu_indices(400, 1)], 0.01)))
+    assert [len(v) for v in f.vals] == [400, 798, 679, 379]
+    assert math.comb(400, 3) > tda._INDEX_SLOTS >= math.comb(400, 2)
+    search, searched_dims = tda._search, []
+
+    def spy(keys, order, queries):
+        searched_dims.append(len(queries))
+        return search(keys, order, queries)
+
+    monkeypatch.setattr(tda, "_search", spy)
+    searched = tda._facet_positions(f.verts, f.vals, f.threshold, 3), compute_persistence(f)
+    # each of a tetrahedron's four faces, in both calls
+    assert searched_dims == [379] * 8
+    monkeypatch.setattr(tda, "_INDEX_SLOTS", 1 << 24)
+    dense = tda._facet_positions(f.verts, f.vals, f.threshold, 3), compute_persistence(f)
+    assert len(searched_dims) == 8
+    for got, want in zip(searched[0], dense[0]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert searched[1] == dense[1]
+
+
+def assert_h0_contract(f: Filtration) -> None:
+    """``_merge_edges`` pairs as the cohomology reducer does at q = 0, with no clearing."""
+    facets = tda._facet_positions(f.verts, f.vals, f.threshold, f.max_dim + 1)
+    n = len(f.vals[0])
+    roots, edges, survivors = tda._merge_edges(facets[1], n, None)
+    cols, pivots, zeros = tda._reduce_coboundaries(facets[1], n, np.zeros(n, dtype=bool))
+    assert sorted(edges.tolist()) == sorted(pivots.tolist())
+    assert len(survivors) == len(zeros)
+    # each absorbing edge absorbs a distinct root, and every vertex is
+    # absorbed once or survives
+    assert len(set(roots.tolist())) == len(roots)
+    assert sorted(roots.tolist() + survivors.tolist()) == list(range(n))
+    assert sorted(cols.tolist() + zeros.tolist()) == list(range(n))
+
+
+def test_h0_contract_on_tie_heavy_clouds():
+    # the clouds and thresholds of test_pairing_matches_boundary_reduction_oracle
+    rng = random.Random(41)
+    for trial in range(240):
+        dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
+        threshold = None
+        if trial % 2 and dm.n > 1:
+            dists = dm.entries[np.triu_indices(dm.n, 1)]
+            threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
+        assert_h0_contract(build_rips_filtration(dm, trial % 3, threshold))
+
+
+def test_h0_contract_on_fixture_at_5_percent(synthetic_csv):
+    dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    assert_h0_contract(build_rips_filtration(dm, 2, threshold))
 
 
 @pytest.mark.parametrize("count", [255, 256, 65_535, 65_536])

@@ -517,6 +517,13 @@ def test_analysis_config_validation():
         AnalysisConfig(seed=1, threshold=10**400)
     with pytest.raises(ParameterError, match="alpha must"):
         AnalysisConfig(seed=1, alpha=Fraction(1, 10**400))
+    # an int too long for repr is named by its bit length; integral rules
+    # hold to float range too
+    huge = ({"threshold": 10**5000}, {"seed": 10**5000}, {"alpha": 10**5000},
+            {"fraction": -10**5000}, {"window": 10**5000})
+    for fields in huge:
+        with pytest.raises(ParameterError, match=r"got a number beyond float range \(16610 bits\)"):
+            AnalysisConfig(**{"seed": 0, **fields})
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
