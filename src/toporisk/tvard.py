@@ -166,17 +166,17 @@ def tvard_distance(a: FeatureVector, b: FeatureVector) -> float:
 
 
 def _saturates(adj: list[list[int]], n_right: int) -> bool:
-    """Whether some matching covers every row of ``adj``: Hopcroft-Karp, no recursion.
+    """Whether some matching covers every row of ``adj``: greedy, then augmenting paths.
 
     ``adj[u]`` lists the right vertices 0..n_right-1 that row u may take.
-    Each phase grows BFS layers from the free rows up to the first layer
-    that reaches a free right vertex, then augments along vertex paths
-    that climb those layers, walking an explicit stack. The test fails
-    as soon as a phase's BFS reaches no free right vertex; a phase whose
-    BFS reaches one augments at least once, so the loop ends.
+    A greedy pass gives each row its first free right vertex. Each row
+    left free runs one breadth-first search over alternating paths and
+    flips the path to the first free right vertex it reaches. A row that
+    reaches none fails the test: a matching covering every row would
+    differ from the current one by an augmenting path from that row
+    (Berge's lemma). No recursion.
     """
-    n = len(adj)
-    match_l = [-1] * n
+    match_l = [-1] * len(adj)
     match_r = [-1] * n_right
     free = []
     for u, nbrs in enumerate(adj):
@@ -184,63 +184,29 @@ def _saturates(adj: list[list[int]], n_right: int) -> bool:
             return False
         for v in nbrs:
             if match_r[v] < 0:
-                match_r[v] = u
-                match_l[u] = v
+                match_r[v], match_l[u] = u, v
                 break
         else:
             free.append(u)
-    while free:
-        dist = [-1] * n
-        for u in free:
-            dist[u] = 0
-        queue = list(free)
-        limit = -1
+    for root in free:
+        via = [-1] * n_right  # the row whose edge first reached each right vertex
+        queue = [root]
+        end = -1
         for u in queue:
-            du = dist[u]
-            if limit >= 0 and du > limit:
-                break
             for v in adj[u]:
-                w = match_r[v]
-                if w < 0:
-                    limit = du
-                elif dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if limit < 0:
-            return False
-        ptr = [0] * n
-        still_free = []
-        for root in free:
-            stack = [root]
-            while stack:
-                u = stack[-1]
-                nbrs = adj[u]
-                i = ptr[u]
-                step = None
-                while i < len(nbrs):
-                    v = nbrs[i]
-                    i += 1
-                    w = match_r[v]
-                    if w < 0 or dist[w] == dist[u] + 1:
-                        step = v
+                if via[v] < 0:
+                    via[v] = u
+                    if match_r[v] < 0:
+                        end = v
                         break
-                ptr[u] = i
-                if step is None:
-                    dist[u] = -1  # dead end for the rest of this phase
-                    stack.pop()
-                elif match_r[step] >= 0:
-                    stack.append(match_r[step])
-                else:
-                    v = step
-                    for x in reversed(stack):
-                        prev = match_l[x]
-                        match_l[x] = v
-                        match_r[v] = x
-                        v = prev
-                    break
-            if match_l[root] < 0:
-                still_free.append(root)
-        free = still_free
+                    queue.append(match_r[v])
+            if end >= 0:
+                break
+        if end < 0:
+            return False
+        while end >= 0:  # flip back to the root: each row takes the vertex it reached
+            u = via[end]
+            match_r[end], match_l[u], end = u, end, match_l[u]
     return True
 
 
@@ -289,15 +255,14 @@ def bottleneck_distance(
     diagram plus diagonal slots for the other) with the slots taken
     out. By the Mendelsohn-Dulmage theorem, such a matching exists
     exactly when one matching covers the far points of d1 and another
-    covers those of d2, so two one-sided Hopcroft-Karp tests decide it
-    exactly. Neither the search nor the matching recurses.
+    covers those of d2, so two one-sided tests decide it exactly, each
+    a greedy matching completed by augmenting paths (``_saturates``).
+    Neither the search nor the matching recurses.
     """
     a = np.asarray(d1, dtype=np.float64).reshape(-1, 2)
     b = np.asarray(d2, dtype=np.float64).reshape(-1, 2)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ParameterError("bottleneck distance needs finite pairs; cap infinities first")
-    if not len(a) and not len(b):
-        return 0.0
     cost = np.maximum(
         np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
     )

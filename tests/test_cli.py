@@ -122,6 +122,12 @@ def test_diagram_stdout(tmp_path, capsys):
     h0 = [line for line in lines[1:] if line.startswith("0,")]
     assert h0 and all(line.split(",")[1] == "0" for line in h0)
 
+    outs = [
+        invoke(capsys, "diagram", "--input", str(csv), "--max-dim", "0", *extra)
+        for extra in ((), ("--threshold", "AUTO"))
+    ]
+    assert outs[0][0] == 0 and outs[0][1] and outs[0] == outs[1]
+
 
 def test_diagram_file_deterministic(tmp_path, capsys):
     csv = make_csv(tmp_path)
@@ -534,9 +540,11 @@ def test_range_rules_rejected_before_io_on_every_command(tmp_path, capsys):
         ("--stride", "-1", "stride"),
         ("--max-dim", "3", "max-dim"),
         ("--threshold", "-1", "threshold"),
+        ("--threshold", "abc", "threshold"),
         ("--stress-fraction", "0", "fraction"),
         ("--stress-fraction", "1.5", "fraction"),
         ("--jobs", "0", "jobs"),
+        ("--jobs", "x", "jobs"),
         ("--seed", "-1", "seed"),
         ("--seed", str(1 << 64), "seed"),
     )

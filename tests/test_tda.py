@@ -216,6 +216,9 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # nonzero diagonal
     with pytest.raises(ParameterError):
         DistanceMatrix(np.zeros((2, 3)))  # not square
+    for points in (np.zeros(3), np.zeros((0, 3)), np.array([[0.0, math.nan]])):
+        with pytest.raises(ParameterError):
+            PointCloud(points)
 
 
 # --- filtration construction ---

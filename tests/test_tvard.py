@@ -40,7 +40,7 @@ from toporisk import (
     tvard_distance,
     vectorize,
 )
-from toporisk.tvard import sample_indices
+from toporisk.tvard import _saturates, sample_indices
 
 from conftest import weekdays
 
@@ -113,6 +113,8 @@ def test_sample_indices_matches_reference():
         assert got == reference_indices(n, k, seed)
         assert got == sorted(set(got))
         assert all(0 <= i < n for i in got)
+    with pytest.raises(ParameterError):
+        sample_indices(3, 4, 0)
 
 
 # --- stress sampling ---
@@ -401,6 +403,28 @@ def test_bottleneck_1200_pairs_no_recursion():
     assert got == doubled_graph_bottleneck(d1, d2)
 
 
+def test_saturates_against_scipy_matching():
+    # the matcher alone, on bipartite graphs of 0-12 rows by 0-12 columns
+    pytest.importorskip("scipy")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    rng = np.random.default_rng(2000)
+    saturated = 0
+    for trial in range(2000):
+        n_rows, n_cols = rng.integers(0, 13, 2).tolist()
+        mask = rng.random((n_rows, n_cols)) < rng.uniform(0.05, 0.7)
+        if n_rows and trial % 5 == 0:
+            mask[rng.integers(n_rows)] = False  # a row with no neighbours
+        adj = [np.flatnonzero(row).tolist() for row in mask]
+        # perm_type="column": the column matched to each row, -1 for none
+        match = maximum_bipartite_matching(csr_matrix(mask.astype(np.int8)), perm_type="column")
+        expected = int((match >= 0).sum()) == n_rows
+        assert _saturates(adj, n_cols) == expected, mask
+        saturated += expected
+    assert 200 < saturated < 1800
+
+
 # --- full analysis ---
 
 
@@ -458,6 +482,11 @@ def test_run_analysis_stage_labels():
     with pytest.raises(PipelineError) as exc_info:
         run_analysis(short, AnalysisConfig(seed=1, window=10))
     assert exc_info.value.stage == "stress-persistence"
+
+    # 1% of 38 returns selects none
+    with pytest.raises(PipelineError) as exc_info:
+        run_analysis(make_prices(40), AnalysisConfig(seed=1, fraction=0.01))
+    assert exc_info.value.stage == "stress-sample"
 
 
 def test_run_analysis_bottleneck_block():
