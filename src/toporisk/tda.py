@@ -195,11 +195,27 @@ def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT
     return PointCloud(windows.copy())
 
 
+# Cells of the difference tensor one block of distance rows may hold: 16 MiB
+# of float64. The 241 points of a year of daily returns are one block; ten
+# years (2,512 points) take 31 blocks instead of one 505 MB tensor.
+_DISTANCE_BLOCK_CELLS = 1 << 21
+
+
 def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
-    """Pairwise Euclidean distances between the cloud's points."""
+    """Pairwise Euclidean distances between the cloud's points.
+
+    Rows are computed in blocks whose difference tensor holds at most
+    ``_DISTANCE_BLOCK_CELLS`` cells, each by the same ``einsum`` over the
+    window axis, so every entry is the one-shot form's bit for bit.
+    """
     pts = cloud.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    return DistanceMatrix(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    n, w = pts.shape
+    rows = max(1, _DISTANCE_BLOCK_CELLS // (n * w))
+    squares = np.empty((n, n))
+    for lo in range(0, n, rows):
+        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
+        squares[lo : lo + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return DistanceMatrix(np.sqrt(squares, out=squares))
 
 
 def build_rips_filtration(

@@ -221,6 +221,42 @@ def test_distance_matrix_validation():
             PointCloud(points)
 
 
+def one_shot_distances(points: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13])
+def test_distance_matrix_blocks_match_one_shot(n, monkeypatch):
+    # blocks of 3 rows: n below, at, across and at several block boundaries
+    points = np.random.default_rng(n).normal(size=(n, 4)) * 10.0 ** np.arange(-2, 2)
+    monkeypatch.setattr(tda, "_DISTANCE_BLOCK_CELLS", 3 * n * 4)
+    blocked = distance_matrix(PointCloud(points)).entries
+    assert blocked.tobytes() == one_shot_distances(points).tobytes()
+
+
+def test_distance_matrix_block_sizes(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counted(spec, a, b):
+        calls.append(a.shape)
+        return einsum(spec, a, b)
+
+    monkeypatch.setattr(tda.np, "einsum", counted)
+    # the desk shape and a year of closes (241 points) are one block each
+    for n in (141, 241):
+        points = np.random.default_rng(n).normal(size=(n, 10))
+        expected = one_shot_distances(points)
+        calls.clear()
+        assert distance_matrix(PointCloud(points)).entries.tobytes() == expected.tobytes()
+        assert calls == [(n, n, 10)]
+    # ten years of closes (2,512 points): blocks of 83 rows, 16.7 MB each
+    calls.clear()
+    distance_matrix(PointCloud(np.zeros((2512, 10))))
+    assert calls == [(83, 2512, 10)] * 30 + [(22, 2512, 10)]
+
+
 # --- filtration construction ---
 
 
