@@ -37,6 +37,7 @@ from .tda import (
     Simplex,
     betti_numbers_at,
     build_rips_filtration,
+    collapse_edges,
     compute_persistence,
     delay_embed,
     distance_matrix,
@@ -86,6 +87,7 @@ __all__ = [
     "bottleneck_distance",
     "build_rips_filtration",
     "clean_series",
+    "collapse_edges",
     "compute_persistence",
     "compute_returns",
     "conditional_var",

@@ -218,6 +218,153 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     return DistanceMatrix(np.sqrt(squares, out=squares))
 
 
+def _members(mask: int) -> list[int]:
+    """The vertices of an int bitset, highest first."""
+    out = []
+    while mask:
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    return out
+
+
+def _dominator(common: int, s: float, times: list[dict[int, float]]) -> int:
+    """A vertex of the bitset ``common`` joined to all its others by time s, or -1."""
+    members = _members(common)
+    for w in members:
+        near = times[w]
+        if all(near.get(x, math.inf) <= s for x in members if x != w):
+            return w
+    return -1
+
+
+def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> DistanceMatrix:
+    """A copy of the matrix with the flag filtration's dominated edges delayed or dropped.
+
+    The filtered edge collapse of Boissonnat and Pritam ("Edge Collapse
+    and Persistence of Flag Complexes", SoCG 2020), in the backward form
+    of Glisse and Pritam ("Swap, Shift and Trim to Edge Collapse a
+    Filtration", SoCG 2022). An edge is present from its time on, and an
+    entry above ``threshold`` is no edge. Edges are visited in decreasing
+    (value, vertices) order. At time s, a common neighbour w of u and v
+    (never u or v) dominates edge uv when every other common neighbour
+    present at s is w's neighbour at s; removing a dominated edge keeps
+    the flag complex's homotopy type. An edge dominated at its time moves
+    to the next time its common neighbourhood grows and is tested again
+    there; one dominated to the end is dropped. The Rips filtration of
+    the copy has the same persistence diagrams in every dimension as that
+    of the matrix, from far fewer simplices.
+
+    A delayed edge holds its new time and a dropped one the float just
+    above ``threshold``, so build the copy at ``threshold``, which must be
+    a number below the largest float.
+
+    Most edges are decided at their own value, where the graph is the
+    edges up to it: an ascending pass finds each one's common neighbours
+    and a dominator with int bitsets. Then a descending pass keeps one
+    dict per vertex (neighbour -> current time), and for each edge
+    dominated at its value follows the dominator until a common neighbour
+    arrives before that neighbour's edge to it, where it tests anew. An
+    edge whose tie moved (equal value, visited earlier) is tested on the
+    dicts from the start, since the graph at its value has changed.
+    """
+    entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
+    if threshold is None:
+        raise ParameterError("collapse_edges needs a threshold, not None: resolve it first")
+    thr = check_param("threshold", threshold)
+    above = math.nextafter(thr, math.inf)
+    if math.isinf(above):
+        raise ParameterError(f"no finite entry lies above threshold {thr!r} to drop an edge to")
+    n = entries.shape[0]
+    us, vs = np.nonzero(np.triu(entries <= thr, 1))
+    # stable on the lexicographic nonzero order: ascending (value, vertices)
+    order = np.argsort(entries[us, vs], kind="stable")
+    us, vs = us[order], vs[order]
+    vals = entries[us, vs]
+    ends = np.searchsorted(vals, vals, side="right").tolist()  # one past each edge's ties
+    us, vs, vals = us.tolist(), vs.tolist(), vals.tolist()
+
+    adj = [0] * n
+    dominated = {}  # edge -> (common neighbours at its value, a dominator there)
+    added = 0
+    for k, (u, v, end) in enumerate(zip(us, vs, ends)):
+        if end > added:  # the graph at a value holds all of its ties
+            for a, b in zip(us[added:end], vs[added:end]):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            added = end
+        common = rest = adj[u] & adj[v]
+        while rest:
+            w = rest.bit_length() - 1
+            bit = 1 << w
+            if common & adj[w] | bit == common:
+                dominated[k] = (common, w)
+                break
+            rest ^= bit
+
+    # adj now holds every edge; a dropped edge leaves it
+    times: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v, t in zip(us, vs, vals):
+        times[u][v] = times[v][u] = t
+    moved = {}
+    moved_value = None
+    inf = math.inf
+    for k in range(len(us) - 1, -1, -1):
+        u, v, t = us[k], vs[k], vals[k]
+        tu, tv = times[u], times[v]
+        if moved_value == t:
+            common, later = 0, []
+            for x in _members(adj[u] & adj[v]):
+                a, b = tu[x], tv[x]
+                if a <= t and b <= t:
+                    common |= 1 << x
+                else:
+                    later.append((a if a > b else b, x))
+            w = _dominator(common, t, times)
+        elif k in dominated:
+            common, w = dominated[k]
+            later = []
+            rest = adj[u] & adj[v] & ~common
+            while rest:
+                x = rest.bit_length() - 1
+                rest ^= 1 << x
+                a, b = tu[x], tv[x]
+                later.append((a if a > b else b, x))
+        else:
+            continue
+        s = t
+        while w >= 0:
+            near = times[w]
+            # w dominates until a common neighbour arrives before its edge to w
+            fail = inf
+            for tau, x in later:
+                if s < tau < fail and near.get(x, inf) > tau:
+                    fail = tau
+            s = fail
+            if s == inf:
+                break
+            for tau, x in later:
+                if tau <= s:
+                    common |= 1 << x
+            w = _dominator(common, s, times)
+        if s == t:
+            continue
+        moved[u, v] = s
+        moved_value = t
+        if s == inf:
+            del tu[v], tv[u]
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        else:
+            tu[v] = tv[u] = s
+
+    out = entries.copy()
+    if moved:
+        (a, b), s = np.array(list(moved)).T, np.array(list(moved.values()))
+        out[a, b] = out[b, a] = np.where(np.isinf(s), above, s)
+    return DistanceMatrix(out)
+
+
 def build_rips_filtration(
     dm: Union[DistanceMatrix, np.ndarray],
     max_dim: int = DEFAULT_MAX_DIM,

@@ -21,6 +21,7 @@ be regenerated.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .tda import (
     DEFAULT_WINDOW,
     PersistenceDiagramSet,
     build_rips_filtration,
+    collapse_edges,
     compute_persistence,
     delay_embed,
     distance_matrix,
@@ -370,11 +372,27 @@ def _stress_returns(returns: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
 
 
 def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> PersistenceDiagramSet:
+    """The config's persistence diagrams of the returns' delay embedding.
+
+    ``collapse_edges`` runs between the distance matrix and the Rips
+    build: a filtered edge collapse (Boissonnat and Pritam, SoCG 2020;
+    Glisse and Pritam, SoCG 2022) delays or drops dominated edges, so the
+    diagrams are the full Rips filtration's from far fewer simplices. A
+    threshold of None is resolved here, once, to the largest entry, as
+    the build would resolve it: the collapsed matrix holds entries above
+    it. From the largest entry up every threshold builds the same
+    complex, so the collapse and the build run at the smaller of the two,
+    where a dropped edge always has a finite entry above the scale. The
+    diagrams keep the threshold asked for, the cap on infinite deaths.
+    """
     try:
         cloud = delay_embed(returns, cfg.window, cfg.stride)
         dm = distance_matrix(cloud)
-        filtration = build_rips_filtration(dm, cfg.max_dim, cfg.threshold)
-        return compute_persistence(filtration)
+        top = float(dm.entries.max(initial=0.0))
+        threshold = top if cfg.threshold is None else cfg.threshold
+        scale = min(threshold, top)
+        filtration = build_rips_filtration(collapse_edges(dm, scale), cfg.max_dim, scale)
+        return dataclasses.replace(compute_persistence(filtration), threshold=threshold)
     except TopoRiskError as exc:
         raise PipelineError(stage, exc) from exc
 

@@ -4,6 +4,7 @@ The synthetic series is a 251-row geometric random walk from a fixed
 numpy seed, with its minimum placed at the last row so that min-max
 normalization never zeroes a return denominator: 251 prices give exactly
 250 returns and 241 embedded points at the default window and stride.
+Run as a script, this file writes that series as a CSV to the path given.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ def synthetic_prices() -> np.ndarray:
     steps = rs.normal(0.0004, 0.012, 249)
     prices = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + steps]))
     return np.concatenate([prices, [0.98 * prices.min()]])
+
+
+def desk_prices(closes: int = 151) -> np.ndarray:
+    """The path cut to its first ``closes`` prices, its minimum again moved
+    to the last row: at 151 closes (141 points) the benchmark's desk shape."""
+    prices = synthetic_prices()[: closes - 1]
+    return np.append(prices, 0.98 * prices.min())
 
 
 def weekdays(start: dt.date, count: int) -> list[dt.date]:
@@ -45,3 +53,9 @@ def write_price_csv(path: Path, closes, start: dt.date = dt.date(2024, 1, 2)) ->
 def synthetic_csv(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("data") / "SYN.csv"
     return write_price_csv(path, synthetic_prices())
+
+
+if __name__ == "__main__":
+    import sys
+
+    write_price_csv(Path(sys.argv[1]), synthetic_prices())

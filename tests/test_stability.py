@@ -44,10 +44,7 @@ from toporisk import (
 )
 from toporisk.tvard import _diagrams_for
 
-from conftest import synthetic_prices, weekdays
-
-# The desk shape: the fixture path cut to its first 151 closes (141 points)
-DESK_CLOSES = 151
+from conftest import desk_prices as desk_closes, weekdays
 
 
 def quantile_threshold(returns: np.ndarray, q: float, window: int = 10) -> float:
@@ -56,10 +53,8 @@ def quantile_threshold(returns: np.ndarray, q: float, window: int = 10) -> float
 
 
 def desk_prices() -> PriceSeries:
-    # the minimum moves to the last row again, as in the full fixture
-    closes = synthetic_prices()[: DESK_CLOSES - 1]
-    closes = np.append(closes, 0.98 * closes.min())
-    return PriceSeries("DESK", tuple(weekdays(dt.date(2024, 1, 2), DESK_CLOSES)), closes)
+    closes = desk_closes()
+    return PriceSeries("DESK", tuple(weekdays(dt.date(2024, 1, 2), len(closes))), closes)
 
 
 def desk_returns() -> np.ndarray:

@@ -16,10 +16,12 @@ and one of cofaces and facets as the oracle for the apparent pairs.
 
 from __future__ import annotations
 
+import datetime as dt
 import io
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from toporisk import (
     InternalInvariantError,
     ParameterError,
     PointCloud,
+    PriceSeries,
     ReturnSeries,
     Simplex,
     betti_numbers_at,
@@ -43,7 +46,9 @@ from toporisk import (
     preprocess,
     write_diagram_csv,
 )
-from toporisk import tda
+from toporisk import tda, tvard
+
+from conftest import desk_prices, weekdays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -415,6 +420,162 @@ def test_build_matches_mask_expansion_on_fixture_at_5_percent(synthetic_csv):
     dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
     threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
     assert_build_matches_mask_expansion(dm.entries, 2, threshold)
+
+
+# --- edge collapse ---
+
+
+def reference_collapse(entries: np.ndarray, threshold: float) -> np.ndarray:
+    """The collapse rule step by step: every event, every candidate dominator.
+
+    Edges go in decreasing (value, vertices) order. At time s, uv is
+    dominated when some common neighbour w other than u and v is joined by
+    time s to every other common neighbour present at s. A dominated edge
+    moves to the next time a common neighbour arrives; with none left it
+    is dropped, to the float above the threshold.
+    """
+    n = entries.shape[0]
+    time = {
+        (u, v): float(entries[u, v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if entries[u, v] <= threshold
+    }
+
+    def at(a: int, b: int) -> float:
+        return time.get((min(a, b), max(a, b)), math.inf)
+
+    for u, v in sorted(time, key=lambda e: (time[e], e), reverse=True):
+        s = time[u, v]
+        arrival = {x: max(at(u, x), at(v, x)) for x in range(n) if x not in (u, v)}
+        while True:
+            present = [x for x, a in arrival.items() if a <= s]
+            if not any(all(at(w, x) <= s for x in present if x != w) for w in present):
+                time[u, v] = s
+                break
+            later = [a for a in arrival.values() if s < a < math.inf]
+            if not later:
+                del time[u, v]
+                break
+            s = min(later)
+    out = entries.copy()
+    within = np.triu(entries <= threshold, 1)
+    out[within | within.T] = math.nextafter(threshold, math.inf)
+    for (u, v), s in time.items():
+        out[u, v] = out[v, u] = s
+    return out
+
+
+def collapse_corpus():
+    """Tie-heavy clouds at quantile and maximum thresholds, then two clouds without ties."""
+    rng = random.Random(47)
+    for trial in range(150):
+        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3)).entries
+        n = dm.shape[0]
+        if n > 1:
+            dists = dm[np.triu_indices(n, 1)]
+            yield dm, float(np.quantile(dists, (0.3, 0.6)[trial % 2]))
+        yield dm, float(dm.max())
+    for seed in (1, 2):
+        dm = distance_matrix(random_cloud(random.Random(seed), 24, 3)).entries
+        yield dm, float(np.quantile(dm[np.triu_indices(24, 1)], 0.4))
+
+
+def test_collapse_matches_reference_rule():
+    changed = 0
+    for dm, threshold in collapse_corpus():
+        collapsed = tda.collapse_edges(dm, threshold).entries
+        assert collapsed.tobytes() == reference_collapse(dm, threshold).tobytes()
+        changed += not np.array_equal(collapsed, dm)
+    assert changed > 200
+
+
+def assert_collapse_keeps_diagrams(dm: np.ndarray, threshold: float) -> list:
+    """Diagrams equal with and without the collapse at max_dim 0-2; the collapsed counts."""
+    collapsed = tda.collapse_edges(dm, threshold)
+    for max_dim in range(3):
+        full = compute_persistence(build_rips_filtration(dm, max_dim, threshold))
+        f = build_rips_filtration(collapsed, max_dim, threshold)
+        assert compute_persistence(f) == full
+    return [len(vals) for vals in f.vals]
+
+
+def test_collapse_keeps_diagrams_on_tie_heavy_clouds():
+    for dm, threshold in collapse_corpus():
+        assert_collapse_keeps_diagrams(dm, threshold)
+
+
+def test_collapse_keeps_diagrams_on_desk_shape():
+    closes = desk_prices()
+    dates = tuple(weekdays(dt.date(2024, 1, 2), len(closes)))
+    returns = preprocess(PriceSeries("DESK", dates, closes))
+    dm = distance_matrix(delay_embed(returns, 10, 1))
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.13))
+    counts = assert_collapse_keeps_diagrams(dm.entries, threshold)
+    # against 1,283 edges, 8,483 triangles and 36,608 tetrahedra uncollapsed
+    assert counts == [141, 563, 1731, 3453]
+
+
+@pytest.mark.parametrize(
+    "quantile, expected",
+    [
+        # W1: against 1,446 / 6,923 / 22,529 uncollapsed
+        (0.05, [241, 777, 2396, 5588]),
+        # W2: against 2,892 / 26,104 / 160,368 uncollapsed
+        (0.10, [241, 1344, 6821, 26860]),
+    ],
+)
+def test_collapse_keeps_diagrams_on_fixture(synthetic_csv, quantile, expected):
+    dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
+    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], quantile))
+    assert assert_collapse_keeps_diagrams(dm.entries, threshold) == expected
+
+
+def test_collapse_threshold_rules():
+    dm = distance_matrix(random_cloud(random.Random(3), 12, 2))
+    top = float(dm.entries.max())
+    collapsed = tda.collapse_edges(dm, top).entries
+    dropped = collapsed > top
+    assert dropped.any()
+    assert np.all(collapsed[dropped] == math.nextafter(top, math.inf))
+    # entries above the threshold are no edges, and stay as they were
+    low = float(np.median(dm.entries))
+    above = dm.entries > low
+    assert np.array_equal(tda.collapse_edges(dm, low).entries[above], dm.entries[above])
+    for threshold in (None, sys.float_info.max, -1.0, math.nan):
+        with pytest.raises(ParameterError):
+            tda.collapse_edges(dm, threshold)
+
+
+@pytest.mark.parametrize("kind", ["half", "top", "double", "auto", "largest float"])
+def test_collapse_in_pipeline_at_every_threshold(kind, monkeypatch):
+    """Dropped edges stay out of the build at every threshold, None and the largest float too.
+
+    The diagrams equal the full build's and keep the threshold asked for,
+    None resolved to the largest entry: it caps infinite deaths.
+    """
+    returns = ReturnSeries("T", np.random.default_rng(4).normal(size=40), 0)
+    dm = distance_matrix(delay_embed(returns, 3, 1))
+    top = float(dm.entries.max())
+    threshold = {
+        "half": top / 2, "top": top, "double": 2 * top, "auto": None,
+        "largest float": sys.float_info.max,
+    }[kind]
+    built = []
+
+    def build(*args):
+        built.append(build_rips_filtration(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tvard, "build_rips_filtration", build)
+    cfg = AnalysisConfig(seed=0, window=3, threshold=threshold)
+    got = tvard._diagrams_for(returns, cfg, "baseline-persistence")
+    resolved = top if threshold is None else threshold
+    assert got == compute_persistence(build_rips_filtration(dm, 2, resolved))
+    assert got.threshold == resolved
+    scale = min(resolved, top)
+    kept = np.count_nonzero(np.triu(tda.collapse_edges(dm, scale).entries <= scale, 1))
+    assert len(built[0].vals[1]) == kept < np.count_nonzero(np.triu(dm.entries <= scale, 1))
 
 
 # --- persistence ---
