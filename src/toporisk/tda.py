@@ -228,12 +228,21 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _dominator(common: int, s: float, times: list[dict[int, float]]) -> int:
-    """A vertex of the bitset ``common`` joined to all its others by time s, or -1."""
+def _dominator(common: int, s: float, adj: list[int], times: list[dict[int, float]]) -> int:
+    """A vertex of the bitset ``common`` joined to all its others by time s, or -1.
+
+    ``adj`` holds each vertex's neighbours at any time as a bitset, and
+    ``times`` the time of each of those edges.
+    """
     members = _members(common)
-    for w in members:
+    joined = common  # the members joined to every other member, at any time
+    for x in members:
+        joined &= adj[x] | 1 << x
+        if not joined:
+            return -1
+    for w in _members(joined):
         near = times[w]
-        if all(near.get(x, math.inf) <= s for x in members if x != w):
+        if all(near[x] <= s for x in members if x != w):
             return w
     return -1
 
@@ -288,8 +297,10 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
     dominated = {}  # edge -> (common neighbours at its value, a dominator there)
     added = 0
     for k, (u, v, end) in enumerate(zip(us, vs, ends)):
-        if end > added:  # the graph at a value holds all of its ties
-            for a, b in zip(us[added:end], vs[added:end]):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if end > k + 1 and end > added:  # the graph at a value holds all of its ties
+            for a, b in zip(us[k + 1 : end], vs[k + 1 : end]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             added = end
@@ -320,7 +331,7 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
                     common |= 1 << x
                 else:
                     later.append((a if a > b else b, x))
-            w = _dominator(common, t, times)
+            w = _dominator(common, t, adj, times)
         elif k in dominated:
             common, w = dominated[k]
             later = []
@@ -346,7 +357,7 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
             for tau, x in later:
                 if tau <= s:
                     common |= 1 << x
-            w = _dominator(common, s, times)
+            w = _dominator(common, s, adj, times)
         if s == t:
             continue
         moved[u, v] = s
