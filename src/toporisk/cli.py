@@ -252,7 +252,7 @@ def _add_topology(parser: argparse.ArgumentParser, *, seed_required: bool) -> No
                         help=f"top homology dimension (0, 1 or 2), default {cfg.max_dim}")
     parser.add_argument("--threshold", type=_threshold_arg, default=cfg.threshold,
                         help="Rips scale cap, a number or 'auto' (max distance), default auto; "
-                             "auto is O(n^4) in points, prefer a number for large inputs")
+                             "auto grows fast with points, prefer a number beyond a year of closes")
     parser.add_argument("--stress-fraction", type=float, default=cfg.fraction,
                         help="fraction of returns kept in the stress sample, "
                              f"default {cfg.fraction}")

@@ -22,6 +22,15 @@ reads a column from the CSR, as a list, only when it reduces the rest.
 ``Simplex`` tuples are made only when a caller reads
 ``Filtration.simplices``.
 
+Every command builds the Rips filtration of an edge-collapsed copy of
+the distance matrix. ``collapse_edges`` delays or drops the edges that
+a common neighbour dominates (Boissonnat and Pritam, "Edge Collapse and
+Persistence of Flag Complexes", SoCG 2020; Glisse and Pritam, "Swap,
+Shift and Trim to Edge Collapse a Filtration", SoCG 2022), which leaves
+every persistence diagram unchanged and, at the benchmark's desk shape,
+cuts the tetrahedra from 36,608 to 3,453. ``build_rips_filtration``
+still means the full Rips filtration, and is the collapse's test oracle.
+
 Two deliberate reading choices are worth knowing about:
 
 * A single return series does not canonically define a point cloud.
@@ -400,7 +409,7 @@ def build_rips_filtration(
     (value, vertices) order. ``threshold`` of None means the maximum matrix entry, which
     guarantees the dimension-0 merge tree completes; note the dimension-3
     enumeration is O(n^4) at that scale, so large clouds want an explicit
-    threshold.
+    threshold or an edge-collapsed matrix (``collapse_edges``).
     """
     entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
     n = entries.shape[0]

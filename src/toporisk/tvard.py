@@ -21,10 +21,9 @@ be regenerated.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -392,7 +391,7 @@ def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> Per
         threshold = top if cfg.threshold is None else cfg.threshold
         scale = min(threshold, top)
         filtration = build_rips_filtration(collapse_edges(dm, scale), cfg.max_dim, scale)
-        return dataclasses.replace(compute_persistence(filtration), threshold=threshold)
+        return replace(compute_persistence(filtration), threshold=threshold)
     except TopoRiskError as exc:
         raise PipelineError(stage, exc) from exc
 
