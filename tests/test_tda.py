@@ -11,7 +11,9 @@ Four routes cross-check each other here:
 Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, a
 brute-force enumeration of vertex subsets as the oracle for the Rips build,
 the mask expansion it replaced as a bit-exact differential oracle for it,
-and one of cofaces and facets as the oracle for the apparent pairs.
+one of cofaces and facets as the oracle for the apparent pairs, and a
+step-by-step statement of the edge-collapse rule as the bit-exact oracle
+for ``collapse_edges``, whose diagrams must equal the full build's.
 """
 
 from __future__ import annotations
