@@ -147,6 +147,15 @@ def _unique_tickers(paths: list[Path]) -> None:
         seen[path.stem] = path
 
 
+def _table(rows: list[dict], fmt: str, numbers: tuple[str, ...]) -> str:
+    """A summary: ``rows`` as a JSON list, or CSV of each row's ticker and ``numbers``."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(("ticker",) + numbers)]
+    lines.extend(",".join([row["ticker"]] + [_fmt(row[k]) for k in numbers]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _config(args: argparse.Namespace, **fields) -> AnalysisConfig:
     return AnalysisConfig(
         window=args.window,
@@ -164,19 +173,11 @@ def cmd_var(args: argparse.Namespace) -> int:
     _unique_tickers(paths)
 
     def work(path: Path):
-        return path.stem, tail_risk(preprocess(load_price_csv(path)), args.alpha)
+        tail = tail_risk(preprocess(load_price_csv(path)), args.alpha)
+        return {"ticker": path.stem, "alpha": tail.alpha, "var": tail.var, "cvar": tail.cvar}
 
     rows, failed = _run_per_ticker(paths, args.jobs, work)
-    if args.format == "json":
-        payload = [
-            {"ticker": t, "alpha": r.alpha, "var": r.var, "cvar": r.cvar} for t, r in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = ["ticker,var,cvar"]
-        lines.extend(f"{t},{_fmt(r.var)},{_fmt(r.cvar)}" for t, r in rows)
-        text = "\n".join(lines) + "\n"
-    written = _emit(args, text)
+    written = _emit(args, _table(rows, args.format, ("var", "cvar")))
     return 0 if written and not failed else 1
 
 
@@ -215,19 +216,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     def work(path: Path):
         report = run_analysis(load_price_csv(path), cfg)
         _atomic_write(out_dir / f"{report.ticker}.json", report_to_json(report))
-        return report
+        return {"ticker": report.ticker, "var": report.var, "cvar": report.cvar,
+                "tvard": report.tvard}
 
-    reports, failed = _run_per_ticker(paths, args.jobs, work)
-    if args.format == "json":
-        payload = [
-            {"ticker": r.ticker, "var": r.var, "cvar": r.cvar, "tvard": r.tvard}
-            for r in reports
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print("ticker,var,cvar,tvard")
-        for r in reports:
-            print(f"{r.ticker},{_fmt(r.var)},{_fmt(r.cvar)},{_fmt(r.tvard)}")
+    rows, failed = _run_per_ticker(paths, args.jobs, work)
+    print(_table(rows, args.format, ("var", "cvar", "tvard")), end="")
     return 1 if failed else 0
 
 

@@ -261,6 +261,8 @@ def normalize(series: PriceSeries) -> NormalizedSeries:
     hi = float(series.closes.max())
     if hi == lo:
         raise DegenerateSeriesError(f"{series.ticker}: constant series, min == max == {lo}")
+    if not math.isfinite(hi - lo):
+        raise BadValueError(f"{series.ticker}: price range {lo} to {hi} is not a finite float")
     return NormalizedSeries(series.ticker, (series.closes - lo) / (hi - lo))
 
 

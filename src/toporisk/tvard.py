@@ -136,25 +136,17 @@ def vectorize(
             f"diagram sets disagree on max_dim: {d.max_dim} vs {counterpart.max_dim}"
         )
     cap = max(d.threshold, counterpart.threshold)
-    flat_a: list[float] = []
-    flat_b: list[float] = []
+    flats: list[list[float]] = [[], []]
     layout: list[int] = []
     for q in range(d.max_dim + 1):
-        pairs_a = _ordered_pairs(d.diagrams.get(q, ()), cap)
-        pairs_b = _ordered_pairs(counterpart.diagrams.get(q, ()), cap)
-        width = max(len(pairs_a), len(pairs_b))
-        pairs_a += [(0.0, 0.0)] * (width - len(pairs_a))
-        pairs_b += [(0.0, 0.0)] * (width - len(pairs_b))
+        sides = [_ordered_pairs(s.diagrams.get(q, ()), cap) for s in (d, counterpart)]
+        width = max(map(len, sides))
         layout.append(width)
-        for b, dth in pairs_a:
-            flat_a.extend((b, dth))
-        for b, dth in pairs_b:
-            flat_b.extend((b, dth))
-    shape = tuple(layout)
-    return (
-        FeatureVector(np.array(flat_a), shape, cap),
-        FeatureVector(np.array(flat_b), shape, cap),
-    )
+        for flat, pairs in zip(flats, sides):
+            for pair in pairs + [(0.0, 0.0)] * (width - len(pairs)):
+                flat.extend(pair)
+    first, second = (FeatureVector(np.array(flat), tuple(layout), cap) for flat in flats)
+    return first, second
 
 
 def tvard_distance(a: FeatureVector, b: FeatureVector) -> float:
@@ -404,19 +396,11 @@ def run_analysis(prices: PriceSeries, cfg: AnalysisConfig) -> RiskReport:
     carry the stage name via PipelineError.
     """
     returns = preprocess(prices)
-    try:
-        tail = tail_risk(returns, cfg.alpha)
-    except TopoRiskError as exc:
-        raise PipelineError("risk", exc) from exc
-
+    tail = tail_risk(returns, cfg.alpha)
     baseline = _diagrams_for(returns, cfg, "baseline-persistence")
     stress = _diagrams_for(_stress_returns(returns, cfg), cfg, "stress-persistence")
-
-    try:
-        vec_base, vec_stress = vectorize(baseline, stress)
-        tvard = tvard_distance(vec_base, vec_stress)
-    except TopoRiskError as exc:
-        raise PipelineError("tvard", exc) from exc
+    vec_base, vec_stress = vectorize(baseline, stress)
+    tvard = tvard_distance(vec_base, vec_stress)
 
     bottleneck = None
     if cfg.with_bottleneck:

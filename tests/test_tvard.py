@@ -478,6 +478,12 @@ def test_run_analysis_stage_labels():
         run_analysis(constant, AnalysisConfig(seed=1))
     assert exc_info.value.stage == "preprocess"
 
+    # a caller's closes whose range overflows: refused, not divided by inf
+    huge = PriceSeries("H", dates[:4], np.array([-1.7e308, 1.0, 1.7e308, 2.0]))
+    with pytest.raises(PipelineError, match="price range .* is not a finite float") as exc_info:
+        run_analysis(huge, AnalysisConfig(seed=1))
+    assert exc_info.value.stage == "preprocess"
+
     short = make_prices(12)
     with pytest.raises(PipelineError) as exc_info:
         run_analysis(short, AnalysisConfig(seed=1, window=10))
