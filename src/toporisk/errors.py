@@ -80,7 +80,8 @@ def check_param(name: str, value: Any) -> int | float:
             # repr may refuse this many digits; the bit length always prints
             got = f"a number beyond float range ({int(value).bit_length()} bits)"
         else:
-            number = number if kind is numbers.Real else int(value)
+            # + 0.0 turns -0.0 into 0.0, which a report writes alike
+            number = number + 0.0 if kind is numbers.Real else int(value)
     # the rule is tested on the number returned, not on the value given
     if number is None or not test(number):
         raise ParameterError(f"{name} must {wording}, got {got or repr(value)}")

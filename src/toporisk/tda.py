@@ -277,14 +277,14 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
     above ``threshold``, so build the copy at ``threshold``, which must be
     a number below the largest float.
 
-    Most edges are decided at their own value, where the graph is the
-    edges up to it: an ascending pass finds each one's common neighbours
-    and a dominator with int bitsets. Then a descending pass keeps one
-    dict per vertex (neighbour -> current time), and for each edge
-    dominated at its value follows the dominator until a common neighbour
-    arrives before that neighbour's edge to it, where it tests anew. An
-    edge whose tie moved (equal value, visited earlier) is tested on the
-    dicts from the start, since the graph at its value has changed.
+    Every edge is decided in one descending pass. ``adj`` holds each
+    vertex's neighbours at any time as an int bitset, ``times`` one dict
+    per vertex (neighbour -> current time), and ``now`` the neighbours
+    present at the value being visited: an edge that stays leaves it once
+    the visit drops below its value, and one that moves leaves it at once.
+    An edge is tested at its value on ``now``; for one dominated there the
+    pass follows the dominator until a common neighbour arrives before
+    that neighbour's edge to it, where it tests anew.
     """
     entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
     if threshold is None:
@@ -296,62 +296,46 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
     n = entries.shape[0]
     us, vs = np.nonzero(np.triu(entries <= thr, 1))
     # stable on the lexicographic nonzero order: ascending (value, vertices)
-    order = np.argsort(entries[us, vs], kind="stable")
-    us, vs = us[order], vs[order]
     vals = entries[us, vs]
-    ends = np.searchsorted(vals, vals, side="right").tolist()  # one past each edge's ties
-    us, vs, vals = us.tolist(), vs.tolist(), vals.tolist()
+    order = np.argsort(vals, kind="stable")
+    us, vs, vals = us[order].tolist(), vs[order].tolist(), vals[order].tolist()
 
+    # adj holds every edge at any time; a dropped edge leaves it
     adj = [0] * n
-    dominated = {}  # edge -> (common neighbours at its value, a dominator there)
-    added = 0
-    for k, (u, v, end) in enumerate(zip(us, vs, ends)):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if end > k + 1 and end > added:  # the graph at a value holds all of its ties
-            for a, b in zip(us[k + 1 : end], vs[k + 1 : end]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            added = end
-        common = rest = adj[u] & adj[v]
-        while rest:
-            w = rest.bit_length() - 1
-            bit = 1 << w
-            if common & adj[w] | bit == common:
-                dominated[k] = (common, w)
-                break
-            rest ^= bit
-
-    # adj now holds every edge; a dropped edge leaves it
     times: list[dict[int, float]] = [{} for _ in range(n)]
     for u, v, t in zip(us, vs, vals):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         times[u][v] = times[v][u] = t
+    now = adj.copy()
+    kept, value = [], None  # the edges that stay at the value being visited
     moved = {}
-    moved_value = None
     inf = math.inf
     for k in range(len(us) - 1, -1, -1):
         u, v, t = us[k], vs[k], vals[k]
-        tu, tv = times[u], times[v]
-        if moved_value == t:
-            common, later = 0, []
-            for x in _members(adj[u] & adj[v]):
-                a, b = tu[x], tv[x]
-                if a <= t and b <= t:
-                    common |= 1 << x
-                else:
-                    later.append((a if a > b else b, x))
-            w = _dominator(common, t, adj, times)
-        elif k in dominated:
-            common, w = dominated[k]
-            later = []
-            rest = adj[u] & adj[v] & ~common
-            while rest:
-                x = rest.bit_length() - 1
-                rest ^= 1 << x
-                a, b = tu[x], tv[x]
-                later.append((a if a > b else b, x))
-        else:
+        if t != value:
+            for a, b in kept:
+                now[a] ^= 1 << b
+                now[b] ^= 1 << a
+            kept, value = [], t
+        common = rest = now[u] & now[v]
+        while rest:
+            w = rest.bit_length() - 1
+            bit = 1 << w
+            if common & now[w] | bit == common:
+                break
+            rest ^= bit
+        else:  # no dominator at t: uv stays there
+            kept.append((u, v))
             continue
+        tu, tv = times[u], times[v]
+        later = []
+        rest = adj[u] & adj[v] & ~common
+        while rest:
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
+            a, b = tu[x], tv[x]
+            later.append((a if a > b else b, x))
         s = t
         while w >= 0:
             near = times[w]
@@ -367,10 +351,9 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
                 if tau <= s:
                     common |= 1 << x
             w = _dominator(common, s, adj, times)
-        if s == t:
-            continue
         moved[u, v] = s
-        moved_value = t
+        now[u] ^= 1 << v
+        now[v] ^= 1 << u
         if s == inf:
             del tu[v], tv[u]
             adj[u] ^= 1 << v

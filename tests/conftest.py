@@ -1,4 +1,4 @@
-"""Shared fixtures: a frozen synthetic price path and CSV writers.
+"""Shared fixtures: a frozen synthetic price path, CSV writers and source mutants.
 
 The synthetic series is a 251-row geometric random walk from a fixed
 numpy seed, with its minimum placed at the last row so that min-max
@@ -9,7 +9,11 @@ Run as a script, this file writes that series as a CSV to the path given.
 
 from __future__ import annotations
 
+import __future__
 import datetime as dt
+import inspect
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +59,19 @@ def synthetic_csv(tmp_path_factory) -> Path:
     return write_price_csv(path, synthetic_prices())
 
 
-if __name__ == "__main__":
-    import sys
+def install_mutant(monkeypatch, func, old: str, new: str) -> None:
+    """Replace ``func`` in its module by its own source with ``old`` edited to ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{func.__name__} no longer reads {old!r}"
+    code = compile(
+        source.replace(old, new), inspect.getsourcefile(func), "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    module = sys.modules[func.__module__]
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    monkeypatch.setattr(module, func.__name__, namespace[func.__name__])
 
+
+if __name__ == "__main__":
     write_price_csv(Path(sys.argv[1]), synthetic_prices())

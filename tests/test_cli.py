@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -237,21 +238,26 @@ def test_analyze_partial_failure(tmp_path, capsys):
 
 
 def test_analyze_jobs_parallel_identical(tmp_path, capsys):
+    # the same bytes from 1 job as from 3, and from a threshold of -0 as of 0
     csvs = [make_csv(tmp_path, name, seed=64 + i) for i, name in enumerate(("A", "B", "C"))]
-    dirs = [tmp_path / "seq", tmp_path / "par"]
-    outputs = []
-    for jobs, out_dir in zip(("1", "3"), dirs):
-        code, out, _ = invoke(
-            capsys,
-            "analyze", "--input", *[str(c) for c in csvs], "--seed", "5",
-            "--window", "5", "--threshold", "0.7", "--jobs", jobs,
-            "--output", str(out_dir),
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    for name in ("A", "B", "C"):
-        assert (dirs[0] / f"{name}.json").read_bytes() == (dirs[1] / f"{name}.json").read_bytes()
+    for runs in (
+        {"seq": ("--threshold", "0.7", "--jobs", "1"), "par": ("--threshold", "0.7", "--jobs", "3")},
+        {"zero": ("--threshold", "0"), "minus-zero": ("--threshold", "-0")},
+    ):
+        dirs = [tmp_path / name for name in runs]
+        outputs = []
+        for flags, out_dir in zip(runs.values(), dirs):
+            code, out, _ = invoke(
+                capsys,
+                "analyze", "--input", *[str(c) for c in csvs], "--seed", "5",
+                "--window", "5", *flags, "--output", str(out_dir),
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        for name in ("A", "B", "C"):
+            assert (dirs[0] / f"{name}.json").read_bytes() == (dirs[1] / f"{name}.json").read_bytes()
+    assert math.copysign(1.0, AnalysisConfig(seed=0, threshold=-0.0).threshold) == 1.0
 
 
 def test_analyze_bottleneck_flag(tmp_path, capsys):

@@ -10,24 +10,25 @@ files, and never calls the package's pipeline:
   (``test_tda``), so the distances are the package's bit for bit,
 * diagrams by brute-force Rips enumeration and boundary-matrix reduction
   (``test_tda``),
-* a vectorization written afresh from the ``tvard`` module docstring.
+* a vectorization written afresh from the ``tvard`` module docstring,
+* the brute-force bottleneck distance (``test_tvard``), on the cases with
+  at most 6 pairs a side in every dimension.
 
 So the glue between stages is pinned: the infinite-death cap, the pair
 order and padding, the stress indices, the threshold rules. Diagrams,
-VaR and feature vectors must match ``run_analysis`` exactly. CVaR and
-TVaRD sum in an order numpy chooses, so they match to 1e-12. Each
-mutant of that glue must fail the comparison.
+VaR, feature vectors and bottleneck distances must match
+``run_analysis`` exactly. CVaR and TVaRD sum in an order numpy chooses,
+so they match to 1e-12. Each mutant of that glue must fail the
+comparison.
 """
 
 from __future__ import annotations
 
-import __future__
 import datetime as dt
-import inspect
 import itertools
 import math
 import random
-import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +45,10 @@ from toporisk import (
 )
 from toporisk import tvard
 
-from conftest import weekdays
+from conftest import install_mutant, weekdays
 from test_risk import oracle_cvar, oracle_var
 from test_tda import boundary_reduction_diagrams, brute_force_rips, one_shot_distances
-from test_tvard import reference_indices
+from test_tvard import brute_bottleneck, reference_indices
 
 ALPHAS = (0.8, 0.9, 0.95, 0.99)
 FRACTIONS = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -79,6 +80,14 @@ def reference_diagrams(
     return PersistenceDiagramSet(diagrams, scale, max_dim)
 
 
+def reference_ranked(ds: PersistenceDiagramSet, q: int, cap: float) -> list[tuple[float, float]]:
+    """Dimension q's pairs, infinite deaths at ``cap``, by persistence descending."""
+    pairs = [(b, cap if d == math.inf else d) for b, d in ds.diagrams[q]]
+    pairs.sort(key=lambda p: p[0])  # ties by birth: a stable sort keeps this order
+    pairs.sort(key=lambda p: p[1] - p[0], reverse=True)
+    return pairs
+
+
 def reference_vectorize(
     base: PersistenceDiagramSet, stress: PersistenceDiagramSet
 ) -> tuple[list[float], list[float], tuple[int, ...]]:
@@ -87,18 +96,31 @@ def reference_vectorize(
     vectors: tuple[list[float], list[float]] = ([], [])
     layout = []
     for q in range(base.max_dim + 1):
-        ranked = []
-        for ds in (base, stress):
-            pairs = [(b, cap if d == math.inf else d) for b, d in ds.diagrams[q]]
-            pairs.sort(key=lambda p: p[0])  # ties by birth: a stable sort keeps this order
-            pairs.sort(key=lambda p: p[1] - p[0], reverse=True)
-            ranked.append(pairs)
+        ranked = [reference_ranked(ds, q, cap) for ds in (base, stress)]
         width = max(len(pairs) for pairs in ranked)
         layout.append(width)
         for vector, pairs in zip(vectors, ranked):
             for b, d in pairs + [(0.0, 0.0)] * (width - len(pairs)):
                 vector.extend((b, d))
     return vectors[0], vectors[1], tuple(layout)
+
+
+# brute_bottleneck enumerates every partial matching: 13,327 at 6 points a side
+BOTTLENECK_MOST = 6
+
+
+def reference_bottleneck(
+    base: PersistenceDiagramSet, stress: PersistenceDiagramSet
+) -> dict[str, float] | None:
+    """Each dimension's bottleneck distance by brute force; None above the size it enumerates."""
+    cap = max(base.threshold, stress.threshold)
+    distances = {}
+    for q in range(base.max_dim + 1):
+        sides = [reference_ranked(ds, q, cap) for ds in (base, stress)]
+        if max(map(len, sides)) > BOTTLENECK_MOST:
+            return None
+        distances[f"h{q}"] = brute_bottleneck(*sides)
+    return distances
 
 
 def reference_report(closes: list[float], cfg: AnalysisConfig) -> dict:
@@ -117,6 +139,7 @@ def reference_report(closes: list[float], cfg: AnalysisConfig) -> dict:
         "stress": stress,
         "vectors": (vec_base, vec_stress, layout),
         "tvard": math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(vec_base, vec_stress))),
+        "bottleneck": reference_bottleneck(base, stress),
     }
 
 
@@ -172,6 +195,15 @@ def corpus() -> list[tuple[list[float], AnalysisConfig]]:
         fields = dict(max_dim=max_dim, alpha=rng.choice(ALPHAS), fraction=rng.choice(FRACTIONS))
         cases.append(case(closes, quantile, window, stride, seed=rng.getrandbits(64), **fields))
     cases.append(case(TIED_CLOSES, 0.6, 2, 1, max_dim=1, fraction=0.75, seed=17))
+    # at most 6 points, few enough pairs a side for brute_bottleneck; a walk
+    # without repeated closes drops at most one return, and a fraction from
+    # 0.6 still keeps a window of them
+    for _, max_dim, kind in itertools.product(range(2), range(3), (0, 2)):
+        window = rng.randint(2, 3)
+        closes = walk(rng, kind, rng.randint(window + 5, window + 6))
+        fields = dict(max_dim=max_dim, alpha=rng.choice(ALPHAS), fraction=rng.choice(FRACTIONS[1:]))
+        quantile = rng.choice((None, 0.6))
+        cases.append(case(closes, quantile, window, 1, seed=rng.getrandbits(64), **fields))
     return cases
 
 
@@ -224,19 +256,6 @@ MUTANTS = {
 }
 
 
-def install_mutant(monkeypatch, func, old: str, new: str) -> None:
-    """Replace ``func`` in ``tvard`` by its own source with ``old`` edited to ``new``."""
-    source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, f"{func.__name__} no longer reads {old!r}"
-    code = compile(
-        source.replace(old, new), inspect.getsourcefile(func), "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    namespace = dict(vars(tvard))
-    exec(code, namespace)
-    monkeypatch.setattr(tvard, func.__name__, namespace[func.__name__])
-
-
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_mutant_fails_reference(mutant, references, monkeypatch):
     install_mutant(monkeypatch, *MUTANTS[mutant])
@@ -244,3 +263,26 @@ def test_mutant_fails_reference(mutant, references, monkeypatch):
     with pytest.raises((AssertionError, ParameterError)):
         for prices, cfg, ref in references:
             assert_matches_reference(prices, cfg, ref)
+
+
+def assert_bottleneck_matches_reference(references) -> int:
+    """``--bottleneck``'s distances where the brute force enumerates; the cases compared."""
+    compared = 0
+    for prices, cfg, ref in references:
+        if ref["bottleneck"] is not None:
+            report = tvard.run_analysis(prices, replace(cfg, with_bottleneck=True))
+            assert report.bottleneck == ref["bottleneck"]
+            compared += 1
+    return compared
+
+
+def test_bottleneck_matches_reference(references):
+    assert assert_bottleneck_matches_reference(references) >= 10
+
+
+def test_bottleneck_mutant_fails_reference(references, monkeypatch):
+    stress_pairs = "_ordered_pairs(stress.diagrams.get(q, ()), vec_base.cap)"
+    baseline_pairs = "_ordered_pairs(baseline.diagrams.get(q, ()), vec_base.cap)"
+    install_mutant(monkeypatch, tvard.run_analysis, stress_pairs, baseline_pairs)
+    with pytest.raises(AssertionError):
+        assert_bottleneck_matches_reference(references)

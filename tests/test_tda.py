@@ -13,7 +13,8 @@ brute-force enumeration of vertex subsets as the oracle for the Rips build,
 the mask expansion it replaced as a bit-exact differential oracle for it,
 one of cofaces and facets as the oracle for the apparent pairs, and a
 step-by-step statement of the edge-collapse rule as the bit-exact oracle
-for ``collapse_edges``, whose diagrams must equal the full build's.
+for ``collapse_edges``, whose diagrams must equal the full build's and
+whose source mutants must each fail that oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from toporisk import (
 )
 from toporisk import tda, tvard
 
-from conftest import desk_prices, weekdays
+from conftest import desk_prices, install_mutant, weekdays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -483,13 +484,41 @@ def collapse_corpus():
         yield dm, float(np.quantile(dm[np.triu_indices(24, 1)], 0.4))
 
 
-def test_collapse_matches_reference_rule():
+@pytest.fixture(scope="module")
+def collapse_references() -> list[tuple[np.ndarray, float, bytes]]:
+    return [(dm, t, reference_collapse(dm, t).tobytes()) for dm, t in collapse_corpus()]
+
+
+def test_collapse_matches_reference_rule(collapse_references):
     changed = 0
-    for dm, threshold in collapse_corpus():
+    for dm, threshold, reference in collapse_references:
         collapsed = tda.collapse_edges(dm, threshold).entries
-        assert collapsed.tobytes() == reference_collapse(dm, threshold).tobytes()
+        assert collapsed.tobytes() == reference
         changed += not np.array_equal(collapsed, dm)
     assert changed > 200
+
+
+COLLAPSE_MUTANTS = {
+    "a kept edge leaves now at once": (tda.collapse_edges, "if t != value:", "if True:"),
+    "a moved edge waits for the value to change": (
+        tda.collapse_edges, "now[u] ^= 1 << v\n        now[v] ^= 1 << u", "kept.append((u, v))"
+    ),
+    "kept edges never leave now": (tda.collapse_edges, "kept.append((u, v))", "pass"),
+    "domination tested on adj": (
+        tda.collapse_edges, "if common & now[w] | bit", "if common & adj[w] | bit"
+    ),
+    "drop instead of delay": (tda.collapse_edges, "moved[u, v] = s", "moved[u, v] = s = inf"),
+    "< for <= in _dominator": (tda._dominator, "near[x] <= s", "near[x] < s"),
+}
+
+
+@pytest.mark.parametrize("mutant", COLLAPSE_MUTANTS)
+def test_collapse_mutant_fails_reference(mutant, collapse_references, monkeypatch):
+    install_mutant(monkeypatch, *COLLAPSE_MUTANTS[mutant])
+    assert any(
+        tda.collapse_edges(dm, threshold).entries.tobytes() != reference
+        for dm, threshold, reference in collapse_references
+    )
 
 
 def assert_collapse_keeps_diagrams(dm: np.ndarray, threshold: float) -> list:
