@@ -225,6 +225,17 @@ def _matching_exists(
     return True
 
 
+def _floor(cost: np.ndarray, half1: np.ndarray, half2: np.ndarray) -> float:
+    """The candidate cost where ``bottleneck_distance`` starts: no lower cap is feasible."""
+    floor = -math.inf
+    for rows, half, other in ((cost, half1, half2), (cost.T, half2, half1)):
+        nearest = np.minimum(half, rows.min(axis=1, initial=math.inf))
+        floor = max(floor, nearest.max(initial=-math.inf))
+        if len(half) > len(other):
+            floor = max(floor, np.sort(half)[::-1][len(other)])
+    return floor
+
+
 def bottleneck_distance(
     d1: Sequence[tuple[float, float]], d2: Sequence[tuple[float, float]]
 ) -> float:
@@ -235,9 +246,24 @@ def bottleneck_distance(
     their persistence. The answer is one of the candidate costs: 0, a
     point's distance to the diagonal, or an entry of the n1 x n2 cost
     matrix max(|birth1 - birth2|, |death1 - death2|), built once with
-    numpy from the same IEEE operations a pairwise loop would use. A
-    binary search over the sorted distinct candidates finds the least
-    feasible one.
+    numpy from the same IEEE operations a pairwise loop would use. The
+    search over the sorted distinct candidates finds the least feasible
+    one.
+
+    It starts at a floor that no matching can beat (``_floor``), the
+    largest of two kinds of term. Each point pays its distance to the
+    diagonal or its cost to some point of the other diagram, so at
+    least the smaller of that distance and its nearest cost: below it,
+    the point is far and has no partner. And when n1 > n2, below the
+    (n2+1)-th largest distance to the diagonal in d1, n2+1 far points
+    would need n2 partners; the same holds with the sides swapped. So
+    every cap below the floor is infeasible, and the floor, a maximum
+    of candidates, is itself one. The search probes it once and
+    returns it when it is feasible, as it is when the stress side has
+    about half the pairs. Otherwise it runs the bisection over all
+    candidates but probes only caps above the floor: each of those
+    probes is one the bisection alone would make, so the floor costs
+    one probe at most.
 
     Feasibility at cap c is decided on the graph of point pairs with
     cost <= c. Call a point far when its distance to the diagonal
@@ -264,10 +290,14 @@ def bottleneck_distance(
     # sort and drop repeats: on numpy 2.x np.unique imports numpy.ma on first use
     costs = np.sort(np.concatenate(([0.0], half1, half2, cost.ravel())))
     costs = costs[np.concatenate(([True], costs[1:] != costs[:-1]))]
+    start = int(np.searchsorted(costs, _floor(cost, half1, half2)))
     lo, hi = 0, len(costs) - 1
+    if _matching_exists(cost, half1, half2, costs[start]):
+        lo = hi = start
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_exists(cost, half1, half2, costs[mid]):
+        # a cap at or below an infeasible floor is infeasible: no probe
+        if mid > start and _matching_exists(cost, half1, half2, costs[mid]):
             hi = mid
         else:
             lo = mid + 1

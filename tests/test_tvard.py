@@ -40,9 +40,10 @@ from toporisk import (
     tvard_distance,
     vectorize,
 )
+from toporisk import tvard
 from toporisk.tvard import _saturates, sample_indices
 
-from conftest import weekdays
+from conftest import install_mutant, weekdays
 
 
 # --- RNG ---
@@ -423,6 +424,125 @@ def test_saturates_against_scipy_matching():
         assert _saturates(adj, n_cols) == expected, mask
         saturated += expected
     assert 200 < saturated < 1800
+
+
+def h0_shaped(rng: np.random.Generator, n: int, grid: bool) -> list[tuple[float, float]]:
+    """n pairs born at 0, as every H0 pair is; deaths on a 0.1 grid or uniform."""
+    deaths = rng.uniform(0.0, 1.0, n)
+    return [(0.0, d) for d in (np.round(deaths, 1) if grid else deaths).tolist()]
+
+
+@pytest.fixture(scope="module")
+def floor_cases() -> list[tuple[list, list, float]]:
+    """H0-shaped pairs of n points against about n/2, each side larger in turn, with
+    the oracles' answer: enumeration up to 6 points a side, the doubled graph to 150."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(19)
+    cases = []
+    for trial in range(120):
+        n, grid = int(rng.integers(1, 7)), trial % 2 == 0
+        d1, d2 = h0_shaped(rng, n, grid), h0_shaped(rng, (n + trial // 4 % 2) // 2, grid)
+        if trial % 4 >= 2:
+            d1, d2 = d2, d1
+        cases.append((d1, d2, brute_bottleneck(d1, d2)))
+    for trial, n in enumerate((30, 61, 100, 150) * 2):
+        d1, d2 = h0_shaped(rng, n, trial < 4), h0_shaped(rng, n // 2 + trial % 2, trial < 4)
+        cases.append((d1, d2, doubled_graph_bottleneck(d1, d2)))
+    return cases
+
+
+def assert_floor_matches_oracles(cases) -> None:
+    for d1, d2, answer in cases:
+        assert tvard.bottleneck_distance(d1, d2) == answer, (d1, d2)
+        a, b = np.array(d1).reshape(-1, 2), np.array(d2).reshape(-1, 2)
+        cost = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+        floor = tvard._floor(cost, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0)
+        assert floor <= answer, (d1, d2)
+
+
+def test_floor_against_oracles(floor_cases):
+    assert_floor_matches_oracles(floor_cases)
+
+
+FLOOR_MUTANTS = {
+    "pigeonhole one point early": (tvard._floor, "[len(other)]", "[len(other) - 1]"),
+    "farther of diagonal and nearest point": (tvard._floor, "np.minimum(", "np.maximum("),
+    "floor returned unprobed": (
+        tvard.bottleneck_distance,
+        "if _matching_exists(cost, half1, half2, costs[start]):",
+        "if True:",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", FLOOR_MUTANTS)
+def test_floor_mutant_fails_oracles(mutant, floor_cases, monkeypatch):
+    install_mutant(monkeypatch, *FLOOR_MUTANTS[mutant])
+    # a floor above every candidate (np.maximum against an empty side) indexes past them
+    with pytest.raises((AssertionError, IndexError)):
+        assert_floor_matches_oracles(floor_cases)
+
+
+def count_probes(monkeypatch) -> list[int]:
+    """Count ``_matching_exists`` calls into the returned one-element list."""
+    calls = [0]
+    probe = tvard._matching_exists
+
+    def counted(*args):
+        calls[0] += 1
+        return probe(*args)
+
+    monkeypatch.setattr(tvard, "_matching_exists", counted)
+    return calls
+
+
+def plain_bisection_probes(d1, d2) -> int:
+    """Probes of a binary search over all distinct candidate costs."""
+    a, b = np.array(d1).reshape(-1, 2), np.array(d2).reshape(-1, 2)
+    cost = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    half1, half2 = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    costs = np.unique(np.concatenate(([0.0], half1, half2, cost.ravel())))
+    lo, hi, probes = 0, len(costs) - 1, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if tvard._matching_exists(cost, half1, half2, costs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return probes
+
+
+def test_desk_report_probes_once_per_dimension(monkeypatch):
+    from test_stability import desk_prices, desk_returns, quantile_threshold
+
+    threshold = quantile_threshold(desk_returns(), 0.13)
+    calls = count_probes(monkeypatch)
+    report = run_analysis(desk_prices(), AnalysisConfig(seed=0, threshold=threshold, with_bottleneck=True))
+    assert calls[0] == len(report.bottleneck) == 3
+
+
+def test_floor_costs_at_most_one_probe(monkeypatch):
+    rng = np.random.default_rng(1900)
+    plain = floored = 0
+    for trial in range(300):
+        n1, n2 = rng.integers(0, 25, 2).tolist()
+        grid = trial % 2 == 0
+        if trial % 3 == 0:
+            d1, d2 = h0_shaped(rng, n1, grid), h0_shaped(rng, n1 // 2, grid)
+        else:
+            births, spans = rng.uniform(0.0, 1.0, (2, n1 + n2))
+            if grid:
+                births, spans = np.round(births, 1), np.round(spans, 1)
+            pairs = list(zip(births.tolist(), (births + spans).tolist()))
+            d1, d2 = pairs[:n1], pairs[n1:]
+        expected = plain_bisection_probes(d1, d2)
+        calls = count_probes(monkeypatch)
+        tvard.bottleneck_distance(d1, d2)
+        monkeypatch.undo()
+        assert calls[0] <= expected + 1, (d1, d2)
+        plain, floored = plain + expected, floored + calls[0]
+    assert floored < plain, (floored, plain)
 
 
 # --- full analysis ---
