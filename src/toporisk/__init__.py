@@ -5,103 +5,42 @@ historical-simulation VaR and CVaR on min-max normalized returns, and
 compares the persistent homology of the baseline return series against a
 seeded random subsample (the stress scenario). The Euclidean distance
 between the vectorized persistence diagrams is reported as TVaRD.
+
+Each public name loads its module on first use (PEP 562), so
+``import toporisk`` loads no numpy until a name needs it.
 """
 
-from .errors import (
-    BadValueError,
-    DegenerateSeriesError,
-    DuplicateDateError,
-    FormatError,
-    InsufficientDataError,
-    InternalInvariantError,
-    ParameterError,
-    PipelineError,
-    RowError,
-    TopoRiskError,
-)
-from .ingest import (
-    NormalizedSeries,
-    PriceSeries,
-    ReturnSeries,
-    clean_series,
-    compute_returns,
-    load_price_csv,
-    normalize,
-)
-from .risk import TailRiskResult, conditional_var, tail_risk, value_at_risk
-from .tda import (
-    DistanceMatrix,
-    Filtration,
-    PersistenceDiagramSet,
-    PointCloud,
-    Simplex,
-    betti_numbers_at,
-    build_rips_filtration,
-    collapse_edges,
-    compute_persistence,
-    delay_embed,
-    distance_matrix,
-    write_diagram_csv,
-)
-from .tvard import (
-    AnalysisConfig,
-    FeatureVector,
-    RiskReport,
-    SplitMix64,
-    bottleneck_distance,
-    preprocess,
-    report_to_json,
-    run_analysis,
-    stress_sample,
-    tvard_distance,
-    vectorize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "BadValueError",
-    "DegenerateSeriesError",
-    "DistanceMatrix",
-    "DuplicateDateError",
-    "FeatureVector",
-    "Filtration",
-    "FormatError",
-    "InsufficientDataError",
-    "InternalInvariantError",
-    "NormalizedSeries",
-    "ParameterError",
-    "PersistenceDiagramSet",
-    "PipelineError",
-    "PointCloud",
-    "PriceSeries",
-    "ReturnSeries",
-    "RiskReport",
-    "RowError",
-    "Simplex",
-    "SplitMix64",
-    "TailRiskResult",
-    "TopoRiskError",
-    "betti_numbers_at",
-    "bottleneck_distance",
-    "build_rips_filtration",
-    "clean_series",
-    "collapse_edges",
-    "compute_persistence",
-    "compute_returns",
-    "conditional_var",
-    "delay_embed",
-    "distance_matrix",
-    "load_price_csv",
-    "normalize",
-    "preprocess",
-    "report_to_json",
-    "run_analysis",
-    "stress_sample",
-    "tail_risk",
-    "tvard_distance",
-    "value_at_risk",
-    "vectorize",
-    "write_diagram_csv",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "errors": """BadValueError DegenerateSeriesError DuplicateDateError FormatError
+        InsufficientDataError InternalInvariantError ParameterError PipelineError RowError
+        TopoRiskError""",
+    "ingest": """NormalizedSeries PriceSeries ReturnSeries clean_series compute_returns
+        load_price_csv normalize""",
+    "risk": "TailRiskResult conditional_var tail_risk value_at_risk",
+    "tda": """DistanceMatrix Filtration PersistenceDiagramSet PointCloud Simplex
+        betti_numbers_at build_rips_filtration collapse_edges compute_persistence delay_embed
+        distance_matrix write_diagram_csv""",
+    "tvard": """AnalysisConfig FeatureVector RiskReport SplitMix64 bottleneck_distance
+        preprocess report_to_json run_analysis stress_sample tvard_distance vectorize""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,6 +21,14 @@ import traceback
 from pathlib import Path
 from typing import Callable, Sequence
 
+# Set before numpy loads, or OpenBLAS starts a worker thread per extra
+# core that busy-waits for about 0.1 s of CPU in every process. The CLI
+# gives it no work: TVaRD's norm, its one BLAS call, has a few hundred
+# entries at a year of closes, and above 10,000 a second thread would
+# make the norm's bits depend on the core count. An explicit setting
+# wins; a program importing the library keeps numpy's default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ParameterError, PipelineError, TopoRiskError, check_param
 # perfbench/spans.py wraps clean_series, compute_returns and normalize here too
 from .ingest import clean_series, compute_returns, load_price_csv, normalize  # noqa: F401

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import toporisk
 import toporisk.cli as cli
 from toporisk import AnalysisConfig
 from toporisk.cli import main
@@ -287,9 +288,13 @@ print(json.dumps({
 """
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter that imports this checkout's toporisk."""
-    env = dict(os.environ)
+def run_fresh(*args: str, **environ: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports this checkout's toporisk.
+
+    OPENBLAS_NUM_THREADS is unset there unless ``environ`` sets it.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
@@ -310,6 +315,64 @@ def test_analyze_pass_imports_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"code": 0, "gained": [], "futures": False}
+
+
+def test_import_toporisk_loads_no_numpy():
+    # each public name loads its module on first use; conftest has loaded
+    # numpy in this process, so only a fresh interpreter shows the order
+    done = run_fresh("-c", "import sys, toporisk; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+CLI_THREADS = """
+import os, toporisk.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_cli_import_starts_openblas_without_a_thread_pool():
+    # without the setting OpenBLAS starts a busy-waiting thread per extra core
+    done = run_fresh("-c", CLI_THREADS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_an_explicit_openblas_setting():
+    done = run_fresh("-c", "import os, toporisk.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                     OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+
+
+STAR_IMPORT = """
+import json, sys, toporisk
+unlisted = sorted(set(toporisk.__all__) - set(dir(toporisk)))  # before any name loads
+names = {}
+exec("from toporisk import *", names)
+del names["__builtins__"]
+print(json.dumps({
+    "bound": sorted(names) == toporisk.__all__,
+    "unlisted": unlisted,
+    "misbound": [k for k, v in names.items() if getattr(sys.modules[v.__module__], k) is not v],
+}))
+"""
+
+
+def test_star_import_binds_every_public_name():
+    done = run_fresh("-c", STAR_IMPORT)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"bound": True, "unlisted": [], "misbound": []}
+    # a name left out of the table leaves __all__ too
+    assert len(toporisk.__all__) == 44
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'toporisk' has no attribute 'no_such'$"):
+        toporisk.no_such
+    with pytest.raises(ImportError, match="no_such"):
+        from toporisk import no_such  # noqa: F401
 
 
 @pytest.mark.parametrize("status", [0, 1, 2])

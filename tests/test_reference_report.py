@@ -39,6 +39,7 @@ from toporisk import (
     Filtration,
     ParameterError,
     PersistenceDiagramSet,
+    PipelineError,
     PriceSeries,
     Simplex,
     run_analysis,
@@ -123,10 +124,18 @@ def reference_bottleneck(
     return distances
 
 
+def reference_count(fraction: float, n: int) -> int:
+    """floor(fraction * n) for the fraction as written, where a product within
+    1e-9 (relative) below an integer counts as that integer: as floats,
+    ``15 / 22 * 22`` falls short of 15, and the fraction 15 / 22 keeps 15."""
+    x = Fraction(str(fraction)) * n
+    return math.floor(x + max(1, x) / 10**9)
+
+
 def reference_report(closes: list[float], cfg: AnalysisConfig) -> dict:
     returns = reference_returns(closes)
     n = len(returns)
-    k = math.floor(Fraction(str(cfg.fraction)) * n)
+    k = reference_count(cfg.fraction, n)
     stressed = [returns[i] for i in reference_indices(n, k, cfg.seed)]
     shape = (cfg.window, cfg.stride, cfg.max_dim, cfg.threshold)
     base = reference_diagrams(returns, *shape)
@@ -176,6 +185,20 @@ TIED_CLOSES = [9.0, 1.0, 3.0, 3.0, 3.0, 2.0, 1.0, 2.0, 3.0, 5.0, 2.0, 1.0, 1.0, 
 LOOP_CLOSES = [100.0, 103.15, 103.667, 100.598, 100.872, 101.9005, 101.1115, 100.2973]
 
 
+# (window, stride, returns, max_dim, quantile) of cases at fraction window /
+# returns, the smallest whose stress sample fills one delay window: one point.
+# 15 / 22 and 13 / 23 times their counts fall short of an integer as floats.
+FILL_ONE_WINDOW = ((1, 1, 20, 1, 0.6), (3, 2, 25, 2, 0.3), (13, 1, 23, 1, None), (15, 1, 22, 2, None))
+
+
+def closes_with_returns(rng: random.Random, n: int) -> list[float]:
+    """A Gaussian walk of n + 2 closes whose minimum drops one return."""
+    while True:
+        closes = walk(rng, 0, n + 2)
+        if len(reference_returns(closes)) == n:
+            return closes
+
+
 def case(
     closes: list[float], quantile: float | None, window: int, stride: int, **fields
 ) -> tuple[list[float], AnalysisConfig]:
@@ -211,6 +234,9 @@ def corpus() -> list[tuple[list[float], AnalysisConfig]]:
         fields = dict(max_dim=max_dim, alpha=rng.choice(ALPHAS), fraction=rng.choice(FRACTIONS[1:]))
         quantile = rng.choice((None, 0.6))
         cases.append(case(closes, quantile, window, 1, seed=rng.getrandbits(64), **fields))
+    for window, stride, n, max_dim, quantile in FILL_ONE_WINDOW:
+        fields = dict(max_dim=max_dim, fraction=window / n, seed=rng.getrandbits(64))
+        cases.append(case(closes_with_returns(rng, n), quantile, window, stride, **fields))
     return cases
 
 
@@ -247,6 +273,30 @@ def test_corpus_has_every_dimension_dropped_returns_and_full_samples(references)
     dropped = [len(reference_returns(p.closes.tolist())) < len(p) - 1 for p, _, _ in references]
     full = [cfg.fraction == 1.0 for _, cfg, _ in references]
     assert sum(dropped) >= 10 and sum(full) >= 5, (sum(dropped), sum(full))
+
+
+def test_a_return_short_of_one_window_is_rejected(references):
+    """Half a return below the smallest fraction, the stage that rejects the sample."""
+    stages = []
+    for prices, cfg, _ in references:
+        n = len(reference_returns(prices.closes.tolist()))
+        if reference_count(cfg.fraction, n) != cfg.window:
+            continue
+        with pytest.raises(PipelineError) as caught:
+            run_analysis(prices, replace(cfg, fraction=(cfg.window - 0.5) / n))
+        # no return at all is the sampler's to refuse, too few for a window the embedding's
+        assert caught.value.stage == ("stress-sample" if cfg.window == 1 else "stress-persistence")
+        stages.append(caught.value.stage)
+    assert len(stages) >= len(FILL_ONE_WINDOW) and "stress-sample" in stages, stages
+
+
+def test_plain_floor_mutant_fails_reference(references, monkeypatch):
+    floor = ("snapped_floor(cfg.fraction * n)", "math.floor(cfg.fraction * n)")
+    install_mutant(monkeypatch, tvard.stress_sample, *floor)
+    # at 15 / 22 the mutant keeps 14 returns, too few for a window of 15
+    with pytest.raises((AssertionError, PipelineError)):
+        for prices, cfg, ref in references:
+            assert_matches_reference(prices, cfg, ref)
 
 
 MUTANTS = {
