@@ -19,13 +19,12 @@ _EXPORTS = {
     "errors": """BadValueError DegenerateSeriesError DuplicateDateError FormatError
         InsufficientDataError InternalInvariantError ParameterError PipelineError RowError
         TopoRiskError""",
-    "ingest": """NormalizedSeries PriceSeries ReturnSeries clean_series compute_returns
-        load_price_csv normalize""",
-    "risk": "TailRiskResult conditional_var tail_risk value_at_risk",
+    "ingest": "PriceSeries ReturnSeries clean_series compute_returns load_price_csv normalize",
+    "risk": "conditional_var tail_risk value_at_risk",
     "tda": """DistanceMatrix Filtration PersistenceDiagramSet PointCloud Simplex
         betti_numbers_at build_rips_filtration collapse_edges compute_persistence delay_embed
         distance_matrix write_diagram_csv""",
-    "tvard": """AnalysisConfig FeatureVector RiskReport SplitMix64 bottleneck_distance
+    "tvard": """AnalysisConfig RiskReport SplitMix64 bottleneck_distance
         preprocess report_to_json run_analysis stress_sample tvard_distance vectorize""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

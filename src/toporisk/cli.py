@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -105,7 +104,10 @@ def _report_error(path: Path, exc: Exception) -> None:
     if isinstance(exc, (TopoRiskError, OSError)):
         print(f"error [{_stage_of(exc)}] {path}: {exc}", file=sys.stderr)
         return
-    # an unexpected failure: keep its traceback for the bug report
+    # an unexpected failure: keep its traceback for the bug report; imported
+    # here, since no other path needs it and every CLI start would pay for it
+    import traceback
+
     traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
     print(f"error [internal] {path}: {exc!r}", file=sys.stderr)
 
@@ -176,13 +178,13 @@ def _config(args: argparse.Namespace, **fields) -> AnalysisConfig:
 
 
 def cmd_var(args: argparse.Namespace) -> int:
-    check_param("alpha", args.alpha)
+    alpha = check_param("alpha", args.alpha)
     paths = [Path(p) for p in args.input]
     _unique_tickers(paths)
 
     def work(path: Path):
-        tail = tail_risk(preprocess(load_price_csv(path)), args.alpha)
-        return {"ticker": path.stem, "alpha": tail.alpha, "var": tail.var, "cvar": tail.cvar}
+        var, cvar = tail_risk(preprocess(load_price_csv(path)), alpha)
+        return {"ticker": path.stem, "alpha": alpha, "var": var, "cvar": cvar}
 
     rows, failed = _run_per_ticker(paths, args.jobs, work)
     written = _emit(args, _table(rows, args.format, ("var", "cvar")))

@@ -75,20 +75,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class NormalizedSeries:
-    """Min-max normalized prices; attains both 0 and 1 by construction."""
-
-    ticker: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class ReturnSeries:
     """Daily returns of a normalized series, with dropped-return bookkeeping.
 
@@ -251,8 +237,8 @@ def clean_series(series: PriceSeries) -> tuple[PriceSeries, int]:
     return PriceSeries(series.ticker, dates, series.closes[keep]), removed
 
 
-def normalize(series: PriceSeries) -> NormalizedSeries:
-    """Min-max normalize closes to [0, 1]: (P_t - min P) / (max P - min P)."""
+def normalize(series: PriceSeries) -> np.ndarray:
+    """Min-max normalized closes (P_t - min P) / (max P - min P), attaining 0 and 1."""
     if len(series) < MIN_OBSERVATIONS:
         raise InsufficientDataError(
             f"{series.ticker}: {len(series)} observations, need >= {MIN_OBSERVATIONS}"
@@ -263,23 +249,23 @@ def normalize(series: PriceSeries) -> NormalizedSeries:
         raise DegenerateSeriesError(f"{series.ticker}: constant series, min == max == {lo}")
     if not math.isfinite(hi - lo):
         raise BadValueError(f"{series.ticker}: price range {lo} to {hi} is not a finite float")
-    return NormalizedSeries(series.ticker, (series.closes - lo) / (hi - lo))
+    return (series.closes - lo) / (hi - lo)
 
 
-def compute_returns(series: NormalizedSeries) -> ReturnSeries:
-    """Daily returns R_t = (v_t - v_{t-1}) / v_{t-1} on the normalized values.
+def compute_returns(values: np.ndarray, ticker: str = "series") -> ReturnSeries:
+    """Daily returns R_t = (v_t - v_{t-1}) / v_{t-1} of normalized values, named ``ticker``.
 
     Pairs whose denominator satisfies |v_{t-1}| <= ZERO_DENOM_EPS are
     skipped and counted in ``dropped_count``. Raises InsufficientDataError
     when the input is shorter than 2 or every return is dropped.
     """
-    v = series.values
+    v = np.asarray(values, dtype=np.float64)
     if v.shape[0] < 2:
-        raise InsufficientDataError(f"{series.ticker}: need >= 2 values to form returns")
+        raise InsufficientDataError(f"{ticker}: need >= 2 values to form returns")
     prev = v[:-1]
     ok = np.abs(prev) > ZERO_DENOM_EPS
     dropped = int((~ok).sum())
     returns = (v[1:][ok] - prev[ok]) / prev[ok]
     if returns.shape[0] == 0:
-        raise InsufficientDataError(f"{series.ticker}: all returns dropped (zero denominators)")
-    return ReturnSeries(series.ticker, returns, dropped)
+        raise InsufficientDataError(f"{ticker}: all returns dropped (zero denominators)")
+    return ReturnSeries(ticker, returns, dropped)

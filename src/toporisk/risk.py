@@ -13,7 +13,6 @@ the tail boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -36,17 +35,6 @@ def snapped_floor(x: float) -> int:
     return int(np.floor(x))
 
 
-@dataclass(frozen=True)
-class TailRiskResult:
-    """VaR/CVaR of one return sample at one confidence level."""
-
-    alpha: float
-    var: float
-    cvar: float
-    n: int
-    tail_count: int
-
-
 def _as_returns(sample: Any) -> np.ndarray:
     arr = np.asarray(getattr(sample, "returns", sample), dtype=np.float64)
     if arr.ndim != 1:
@@ -65,7 +53,7 @@ def value_at_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
     attribute (e.g. ReturnSeries). Returns the ascending order statistic
     at k = floor((1 - alpha) * n), clamped to the sample range.
     """
-    return tail_risk(sample, alpha).var
+    return tail_risk(sample, alpha)[0]
 
 
 def conditional_var(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
@@ -74,20 +62,13 @@ def conditional_var(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
     The arithmetic mean of the max(1, floor((1 - alpha) * n)) smallest
     returns; the floor of 1 keeps the tail non-empty at high alpha.
     """
-    return tail_risk(sample, alpha).cvar
+    return tail_risk(sample, alpha)[1]
 
 
-def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> TailRiskResult:
-    """VaR and CVaR of one sample bundled with the tail bookkeeping."""
+def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
+    """(value_at_risk, conditional_var) of one sample, from one sort."""
     alpha = check_param("alpha", alpha)
     r = np.sort(_as_returns(sample))
     n = r.shape[0]
     k = snapped_floor((1.0 - alpha) * n)
-    tail_count = min(max(1, k), n)
-    return TailRiskResult(
-        alpha=alpha,
-        var=float(r[min(max(k, 0), n - 1)]),
-        cvar=float(np.mean(r[:tail_count])),
-        n=n,
-        tail_count=tail_count,
-    )
+    return float(r[min(max(k, 0), n - 1)]), float(np.mean(r[: min(max(1, k), n)]))

@@ -101,61 +101,57 @@ def stress_sample(series: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
     return ReturnSeries(series.ticker, series.returns[keep], series.dropped_count)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flattened, padded diagram coordinates plus the layout that shaped them."""
-
-    values: np.ndarray
-    layout: tuple[int, ...]
-    cap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
 def _ordered_pairs(
-    pairs: Sequence[tuple[float, float]], cap: float
-) -> list[tuple[float, float]]:
-    capped = [(b, cap if math.isinf(d) else d) for b, d in pairs]
-    capped.sort(key=lambda p: (-(p[1] - p[0]), p[0]))
-    return capped
+    d: PersistenceDiagramSet, counterpart: PersistenceDiagramSet, q: int
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Dimension q's pairs of both sets, in the order ``vectorize`` lays them out.
+
+    Infinite deaths on either side are capped at max(threshold of the two
+    inputs); each side sorts by persistence descending, ties by birth
+    ascending. ``vectorize`` and the bottleneck distances both take their
+    pairs from here, so they cap alike.
+    """
+    cap = max(d.threshold, counterpart.threshold)
+    sides = []
+    for ds in (d, counterpart):
+        capped = [(b, cap if math.isinf(death) else death) for b, death in ds.diagrams.get(q, ())]
+        capped.sort(key=lambda p: (-(p[1] - p[0]), p[0]))
+        sides.append(capped)
+    return sides[0], sides[1]
 
 
 def vectorize(
     d: PersistenceDiagramSet, counterpart: PersistenceDiagramSet
-) -> tuple[FeatureVector, FeatureVector]:
-    """Make the two diagram sets comparable as equal-length vectors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Make the two diagram sets comparable as equal-length float64 vectors.
 
-    Per dimension: cap infinite deaths at max(threshold of the two
-    inputs), sort by persistence descending (ties by birth ascending),
-    pad the shorter side with (0, 0), flatten as (birth, death, ...);
-    dimensions concatenate in increasing order.
+    Per dimension: take both sides' capped, sorted pairs from
+    ``_ordered_pairs``, pad the shorter side with (0, 0), flatten as
+    (birth, death, ...); dimensions concatenate in increasing order.
     """
     if d.max_dim != counterpart.max_dim:
         raise ParameterError(
             f"diagram sets disagree on max_dim: {d.max_dim} vs {counterpart.max_dim}"
         )
-    cap = max(d.threshold, counterpart.threshold)
     flats: list[list[float]] = [[], []]
-    layout: list[int] = []
     for q in range(d.max_dim + 1):
-        sides = [_ordered_pairs(s.diagrams.get(q, ()), cap) for s in (d, counterpart)]
+        sides = _ordered_pairs(d, counterpart, q)
         width = max(map(len, sides))
-        layout.append(width)
         for flat, pairs in zip(flats, sides):
             for pair in pairs + [(0.0, 0.0)] * (width - len(pairs)):
                 flat.extend(pair)
-    first, second = (FeatureVector(np.array(flat), tuple(layout), cap) for flat in flats)
-    return first, second
+    return np.array(flats[0], dtype=np.float64), np.array(flats[1], dtype=np.float64)
 
 
-def tvard_distance(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean norm of the difference between two feature vectors."""
-    if a.layout != b.layout or a.values.shape != b.values.shape:
+def tvard_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean norm of the difference between two 1-D feature vectors of one length."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
         raise ParameterError(
-            f"feature vectors not comparable: layouts {a.layout} vs {b.layout}"
+            f"feature vectors not comparable: shapes {a.shape} vs {b.shape}, need equal 1-D"
         )
-    return float(np.linalg.norm(a.values - b.values))
+    return float(np.linalg.norm(a - b))
 
 
 def _saturates(adj: list[list[int]], n_right: int) -> bool:
@@ -379,7 +375,7 @@ def preprocess(prices: PriceSeries) -> ReturnSeries:
     """clean -> normalize -> returns; failures carry the stage "preprocess"."""
     try:
         cleaned, _ = clean_series(prices)
-        return compute_returns(normalize(cleaned))
+        return compute_returns(normalize(cleaned), prices.ticker)
     except TopoRiskError as exc:
         raise PipelineError("preprocess", exc) from exc
 
@@ -426,25 +422,23 @@ def run_analysis(prices: PriceSeries, cfg: AnalysisConfig) -> RiskReport:
     carry the stage name via PipelineError.
     """
     returns = preprocess(prices)
-    tail = tail_risk(returns, cfg.alpha)
+    var, cvar = tail_risk(returns, cfg.alpha)
     baseline = _diagrams_for(returns, cfg, "baseline-persistence")
     stress = _diagrams_for(_stress_returns(returns, cfg), cfg, "stress-persistence")
-    vec_base, vec_stress = vectorize(baseline, stress)
-    tvard = tvard_distance(vec_base, vec_stress)
+    tvard = tvard_distance(*vectorize(baseline, stress))
 
     bottleneck = None
     if cfg.with_bottleneck:
-        bottleneck = {}
-        for q in range(cfg.max_dim + 1):
-            pairs_b = _ordered_pairs(baseline.diagrams.get(q, ()), vec_base.cap)
-            pairs_s = _ordered_pairs(stress.diagrams.get(q, ()), vec_base.cap)
-            bottleneck[f"h{q}"] = bottleneck_distance(pairs_b, pairs_s)
+        bottleneck = {
+            f"h{q}": bottleneck_distance(*_ordered_pairs(baseline, stress, q))
+            for q in range(cfg.max_dim + 1)
+        }
 
     return RiskReport(
         ticker=prices.ticker,
         alpha=cfg.alpha,
-        var=tail.var,
-        cvar=tail.cvar,
+        var=var,
+        cvar=cvar,
         tvard=tvard,
         bottleneck=bottleneck,
         config=cfg,

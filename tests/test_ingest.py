@@ -18,7 +18,6 @@ from toporisk import (
     InsufficientDataError,
     ParameterError,
     PriceSeries,
-    NormalizedSeries,
     RowError,
     clean_series,
     compute_returns,
@@ -135,8 +134,8 @@ def test_clean_too_short_after_removal():
 
 
 def test_normalize_examples():
-    assert normalize(make_series([2, 4, 6])).values.tolist() == [0.0, 0.5, 1.0]
-    assert normalize(make_series([1, 3, 2])).values.tolist() == [0.0, 1.0, 0.5]
+    assert normalize(make_series([2, 4, 6])).tolist() == [0.0, 0.5, 1.0]
+    assert normalize(make_series([1, 3, 2])).tolist() == [0.0, 1.0, 0.5]
 
 
 def test_normalize_constant_series_degenerate():
@@ -156,7 +155,7 @@ def test_normalize_attains_both_bounds():
         closes = [rng.uniform(10, 500) for _ in range(n)]
         if max(closes) == min(closes):
             continue
-        values = normalize(make_series(closes)).values
+        values = normalize(make_series(closes))
         assert values.min() == 0.0
         assert values.max() == 1.0
         assert np.all((0.0 <= values) & (values <= 1.0))
@@ -169,30 +168,33 @@ def test_normalize_affine_invariance():
         closes = np.array([rng.uniform(10, 200) for _ in range(n)])
         a = rng.uniform(0.1, 5.0)
         b = rng.uniform(0.0, 50.0)
-        base = normalize(make_series(closes)).values
-        scaled = normalize(make_series(a * closes + b)).values
+        base = normalize(make_series(closes))
+        scaled = normalize(make_series(a * closes + b))
         assert np.max(np.abs(base - scaled)) < 1e-12
 
 
 def test_returns_examples():
-    r = compute_returns(NormalizedSeries("T", np.array([0.5, 0.75, 1.0])))
-    assert r.dropped_count == 0
+    r = compute_returns(np.array([0.5, 0.75, 1.0]), "T")
+    assert (r.ticker, r.dropped_count) == ("T", 0)
     assert np.allclose(r.returns, [0.5, 1.0 / 3.0], rtol=0, atol=1e-15)
 
-    r = compute_returns(NormalizedSeries("T", np.array([0.0, 0.5, 1.0])))
+    r = compute_returns(np.array([0.0, 0.5, 1.0]), "T")
     assert r.dropped_count == 1
     assert r.returns.tolist() == [1.0]
 
-    r = compute_returns(NormalizedSeries("T", np.array([1.0, 1.0])))
+    r = compute_returns(np.array([1.0, 1.0]), "T")
     assert r.dropped_count == 0
     assert r.returns.tolist() == [0.0]
 
 
 def test_returns_all_dropped_or_too_short():
-    with pytest.raises(InsufficientDataError):
-        compute_returns(NormalizedSeries("T", np.array([0.0, 1.0])))
-    with pytest.raises(InsufficientDataError):
-        compute_returns(NormalizedSeries("T", np.array([0.5])))
+    # each error names the ticker it was given, and the default name without one
+    with pytest.raises(InsufficientDataError, match="^T: all returns dropped"):
+        compute_returns(np.array([0.0, 1.0]), "T")
+    with pytest.raises(InsufficientDataError, match="^T: need >= 2 values"):
+        compute_returns(np.array([0.5]), "T")
+    with pytest.raises(InsufficientDataError, match="^series: need >= 2 values"):
+        compute_returns(np.array([0.5]))
 
 
 def test_returns_length_bookkeeping():
@@ -200,9 +202,8 @@ def test_returns_length_bookkeeping():
     for _ in range(50):
         n = rng.randint(2, 60)
         values = [rng.choice([0.0, rng.uniform(0.05, 1.0)]) for _ in range(n)]
-        series = NormalizedSeries("T", np.array(values))
         try:
-            r = compute_returns(series)
+            r = compute_returns(np.array(values), "T")
         except InsufficientDataError:
             continue
         assert len(r) + r.dropped_count + 1 == n
@@ -219,7 +220,7 @@ def test_pipeline_never_produces_nonfinite(tmp_path):
         series = load_price_csv(path)
         cleaned, _ = clean_series(series)
         norm = normalize(cleaned)
-        assert np.all(np.isfinite(norm.values))
+        assert np.all(np.isfinite(norm))
         try:
             r = compute_returns(norm)
         except InsufficientDataError:

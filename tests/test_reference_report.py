@@ -257,7 +257,9 @@ def assert_matches_reference(prices: PriceSeries, cfg: AnalysisConfig, ref: dict
     assert report.var == ref["var"]
     assert report.cvar == pytest.approx(ref["cvar"], rel=1e-12, abs=1e-12)
     vec_base, vec_stress = tvard.vectorize(report.baseline_diagrams, report.stress_diagrams)
-    assert (vec_base.values.tolist(), vec_stress.values.tolist(), vec_base.layout) == ref["vectors"]
+    ref_base, ref_stress, layout = ref["vectors"]
+    assert (vec_base.tolist(), vec_stress.tolist()) == (ref_base, ref_stress)
+    assert len(vec_base) == 2 * sum(layout)
     assert report.tvard == pytest.approx(ref["tvard"], rel=1e-12, abs=1e-12)
     assert (report.ticker, report.alpha, report.config) == ("REF", cfg.alpha, cfg)
 
@@ -301,7 +303,7 @@ def test_plain_floor_mutant_fails_reference(references, monkeypatch):
 
 MUTANTS = {
     "smaller threshold as cap": (
-        tvard.vectorize,
+        tvard._ordered_pairs,
         "max(d.threshold, counterpart.threshold)",
         "min(d.threshold, counterpart.threshold)",
     ),
@@ -340,8 +342,8 @@ def test_bottleneck_matches_reference(references):
 
 
 def test_bottleneck_mutant_fails_reference(references, monkeypatch):
-    stress_pairs = "_ordered_pairs(stress.diagrams.get(q, ()), vec_base.cap)"
-    baseline_pairs = "_ordered_pairs(baseline.diagrams.get(q, ()), vec_base.cap)"
-    install_mutant(monkeypatch, tvard.run_analysis, stress_pairs, baseline_pairs)
+    both_sides = "_ordered_pairs(baseline, stress, q)"
+    stress_twice = "_ordered_pairs(stress, stress, q)"
+    install_mutant(monkeypatch, tvard.run_analysis, both_sides, stress_twice)
     with pytest.raises(AssertionError):
         assert_bottleneck_matches_reference(references)

@@ -56,11 +56,10 @@ def test_worked_examples():
 
 def test_tail_risk_bundle():
     r = [-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05]
-    t = tail_risk(r, 0.8)
-    assert (t.alpha, t.n, t.tail_count) == (0.8, 10, 2)
-    assert t.var == -0.03
-    assert math.isclose(t.cvar, -0.045, rel_tol=0, abs_tol=1e-15)
-    assert t.cvar <= t.var
+    var, cvar = tail_risk(r, 0.8)
+    assert var == -0.03
+    assert math.isclose(cvar, -0.045, rel_tol=0, abs_tol=1e-15)
+    assert cvar <= var
 
 
 def test_snapped_floor():
@@ -98,6 +97,8 @@ def test_oracle_equivalence_seeded():
         assert conditional_var(returns, alpha) == pytest.approx(
             oracle_cvar(returns, alpha), rel=0, abs=1e-15
         )
+        pair = (value_at_risk(returns, alpha), conditional_var(returns, alpha))
+        assert tail_risk(returns, alpha) == pair
 
 
 def test_permutation_invariance():

@@ -19,7 +19,6 @@ import pytest
 
 from toporisk import (
     AnalysisConfig,
-    FeatureVector,
     InsufficientDataError,
     ParameterError,
     PersistenceDiagramSet,
@@ -192,12 +191,12 @@ def random_diagram_set(rng: random.Random, threshold: float = 1.0) -> Persistenc
 def test_vectorize_cap_sort_pad():
     d = diagram_set({0: ((0.0, 1.0), (0.0, math.inf))}, threshold=2.0, max_dim=0)
     empty = diagram_set({}, threshold=1.0, max_dim=0)
-    va, vb = vectorize(d, empty)
-    # the essential pair caps at 2 and sorts first (largest persistence)
-    assert va.values.tolist() == [0.0, 2.0, 0.0, 1.0]
-    assert vb.values.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert va.layout == vb.layout == (2,)
-    assert va.cap == 2.0
+    # the essential pair caps at the larger threshold, 2, and sorts first
+    # (largest persistence); the empty side pads to the same two pairs
+    for va, vb in (vectorize(d, empty), vectorize(empty, d)[::-1]):
+        assert va.tolist() == [0.0, 2.0, 0.0, 1.0]
+        assert vb.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert va.dtype == vb.dtype == np.float64
 
 
 def test_vectorize_identical_diagrams():
@@ -205,8 +204,8 @@ def test_vectorize_identical_diagrams():
     for _ in range(20):
         d = random_diagram_set(rng)
         va, vb = vectorize(d, d)
-        assert va.values.tolist() == vb.values.tolist()
-        assert va.layout == vb.layout
+        assert va.tolist() == vb.tolist()
+        assert len(va) == 2 * sum(map(len, d.diagrams.values()))
         assert tvard_distance(va, vb) == 0.0
 
 
@@ -214,7 +213,8 @@ def test_vectorize_extra_zero_pad_slot_contributes_nothing():
     a = diagram_set({1: ((0.2, 0.6),)}, threshold=1.0)
     b = diagram_set({1: ((0.0, 0.0), (0.2, 0.6))}, threshold=1.0)
     va, vb = vectorize(a, b)
-    assert va.layout == (0, 2, 0)
+    assert va.tolist() == [0.2, 0.6, 0.0, 0.0]
+    assert vb.tolist() == [0.2, 0.6, 0.0, 0.0]
     assert tvard_distance(va, vb) == 0.0
 
 
@@ -226,12 +226,19 @@ def test_vectorize_max_dim_mismatch():
 
 
 def test_tvard_distance_examples():
-    a = FeatureVector(np.array([0.0, 0.0]), (1,), 1.0)
-    b = FeatureVector(np.array([3.0, 4.0]), (1,), 1.0)
+    a = np.array([0.0, 0.0])
+    b = np.array([3.0, 4.0])
     assert tvard_distance(a, b) == 5.0
     assert tvard_distance(a, a) == 0.0
+    assert tvard_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+    with pytest.raises(ParameterError, match="shapes"):
+        tvard_distance(np.array([0.0, 0.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+    # a 2-D input is refused even against an equal shape, not flattened
+    square = np.zeros((2, 2))
+    with pytest.raises(ParameterError, match="1-D"):
+        tvard_distance(square, square)
     with pytest.raises(ParameterError):
-        tvard_distance(a, FeatureVector(np.array([1.0, 2.0, 3.0, 4.0]), (2,), 1.0))
+        tvard_distance(np.zeros(4), square)
 
 
 def test_tvard_metric_properties():
@@ -275,6 +282,21 @@ def brute_bottleneck(d1, d2) -> float:
                     cost = max(cost, diag2[j])
                 best = min(best, cost)
     return 0.0 if best is math.inf else best
+
+
+def test_bottleneck_pairs_cap_at_the_larger_threshold():
+    """The cap rule, on the pairs run_analysis hands to bottleneck_distance.
+
+    run_analysis alone cannot tell the caps apart: explicit thresholds are
+    equal on both sides, and at auto only H0's essential classes, capped
+    alike, are infinite. So the helper is tested here.
+    """
+    a = diagram_set({1: ((0.5, math.inf),)}, threshold=2.0)
+    b = diagram_set({}, threshold=1.0)
+    # capped at 2, (0.5, 2) lies 0.75 from the diagonal; at 1 it would be 0.25
+    for d, counterpart in ((a, b), (b, a)):
+        assert bottleneck_distance(*tvard._ordered_pairs(d, counterpart, 1)) == 0.75
+    assert tvard._ordered_pairs(a, b, 1) == ([(0.5, 2.0)], [])
 
 
 def test_bottleneck_examples():
@@ -718,9 +740,16 @@ def test_preprocess_returns_and_stage_label():
     returns = preprocess(prices)
     expected = compute_returns(normalize(clean_series(prices)[0]))
     assert np.array_equal(returns.returns, expected.returns)
+    assert returns.ticker == prices.ticker == "TEST"
 
     count = 40
     dates = tuple(weekdays(dt.date(2024, 1, 2), count))
     with pytest.raises(PipelineError) as exc_info:
         preprocess(PriceSeries("C", dates, np.full(count, 100.0)))
     assert exc_info.value.stage == "preprocess"
+    # errors name the ticker: constant closes fail in normalize; [1, 1, 2]
+    # normalizes to [0, 0, 1] and fails in compute_returns, every denominator zero
+    cases = (([5.0, 5.0, 5.0], "constant series"), ([1.0, 1.0, 2.0], "all returns dropped"))
+    for closes, message in cases:
+        with pytest.raises(PipelineError, match=f"^stage preprocess: ACME: {message}"):
+            preprocess(PriceSeries("ACME", dates[:3], np.array(closes)))
