@@ -24,8 +24,8 @@ _EXPORTS = {
     "tda": """DistanceMatrix Filtration PersistenceDiagramSet PointCloud Simplex
         betti_numbers_at build_rips_filtration collapse_edges compute_persistence delay_embed
         distance_matrix write_diagram_csv""",
-    "tvard": """AnalysisConfig RiskReport SplitMix64 bottleneck_distance
-        preprocess report_to_json run_analysis stress_sample tvard_distance vectorize""",
+    "tvard": """AnalysisConfig RiskReport bottleneck_distance preprocess report_to_json
+        run_analysis stress_sample tvard_distance vectorize""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,11 +1,10 @@
 """Command-line front end: var, diagram and analyze subcommands.
 
 The commands run the library pipeline of ``tvard`` and leave every range
-rule of its parameters to the library: argparse only converts types
-(--jobs >= 1 is the one rule of the CLI's own), and each command builds
-its validated config before any file is opened. Output files are
-written atomically (temp file + rename), and the exit status is 0 only
-when every ticker succeeded. Stress-dependent commands require an
+rule of its parameters to the library: argparse only converts types, and
+each command checks its parameters before any file is opened. Output
+files are written atomically (temp file + rename), and the exit status
+is 0 only when every ticker succeeded. Stress-dependent commands require an
 explicit --seed; there is no entropy default, because an unseeded stress
 sample can never be rerun or audited.
 """
@@ -37,21 +36,11 @@ from .tvard import (
     AnalysisConfig,
     _diagrams_for,
     _diagrams_json,
-    _stress_returns,
     preprocess,
     report_to_json,
     run_analysis,
+    stress_sample,
 )
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
 
 
 def _threshold_arg(text: str) -> float | None:
@@ -179,6 +168,7 @@ def _config(args: argparse.Namespace, **fields) -> AnalysisConfig:
 
 def cmd_var(args: argparse.Namespace) -> int:
     alpha = check_param("alpha", args.alpha)
+    jobs = check_param("jobs", args.jobs)
     paths = [Path(p) for p in args.input]
     _unique_tickers(paths)
 
@@ -186,7 +176,7 @@ def cmd_var(args: argparse.Namespace) -> int:
         var, cvar = tail_risk(preprocess(load_price_csv(path)), alpha)
         return {"ticker": path.stem, "alpha": alpha, "var": var, "cvar": cvar}
 
-    rows, failed = _run_per_ticker(paths, args.jobs, work)
+    rows, failed = _run_per_ticker(paths, jobs, work)
     written = _emit(args, _table(rows, args.format, ("var", "cvar")))
     return 0 if written and not failed else 1
 
@@ -202,7 +192,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     def work(path: Path):
         returns = preprocess(load_price_csv(path))
         if args.stress:
-            return _diagrams_for(_stress_returns(returns, cfg), cfg, "stress-persistence")
+            return _diagrams_for(stress_sample(returns, cfg), cfg, "stress-persistence")
         return _diagrams_for(returns, cfg, "baseline-persistence")
 
     results, failed = _run_per_ticker([Path(args.input[0])], 1, work)
@@ -219,6 +209,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args, seed=args.seed, alpha=args.alpha, with_bottleneck=args.bottleneck)
+    jobs = check_param("jobs", args.jobs)
     paths = [Path(p) for p in args.input]
     _unique_tickers(paths)
     out_dir = Path(args.output) if args.output else Path(".")
@@ -229,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return {"ticker": report.ticker, "var": report.var, "cvar": report.cvar,
                 "tvard": report.tvard}
 
-    rows, failed = _run_per_ticker(paths, args.jobs, work)
+    rows, failed = _run_per_ticker(paths, jobs, work)
     print(_table(rows, args.format, ("var", "cvar", "tvard")), end="")
     return 1 if failed else 0
 
@@ -293,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_var, p_an):
         p.add_argument("--alpha", type=float, default=AnalysisConfig.alpha,
                        help=f"confidence level in (0, 1), default {AnalysisConfig.alpha}")
-        p.add_argument("--jobs", type=_positive_int, default=1,
+        p.add_argument("--jobs", type=int, default=1,
                        help="tickers run at a time on threads, default 1")
     return parser
 

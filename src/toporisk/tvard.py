@@ -11,20 +11,20 @@ and echoed in every report:
 * the shorter list is padded with (0, 0) pairs,
 * pairs flatten as (birth, death, ...) and dimensions 0,1,2 concatenate.
 
-Stress sampling is deterministic given the seed: SplitMix64 drives a
-partial Fisher-Yates shuffle whose first floor(fraction * n) slots,
-re-sorted ascending, are the kept return indices. The subsample keeps
-chronological order. Sampling happens on returns, after preprocessing;
-the report's config block records fraction and seed so any number can
-be regenerated.
+Stress sampling is deterministic given the seed: a SplitMix64 stream
+drives a partial Fisher-Yates shuffle whose first floor(fraction * n)
+slots, re-sorted ascending, are the kept return indices. The subsample
+keeps chronological order. Sampling happens on returns, after
+preprocessing; the report's config block records fraction and seed so
+any number can be regenerated.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,58 +46,39 @@ from .tda import (
 _U64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """SplitMix64 generator: 64-bit state, golden-gamma increment.
+def _splitmix64(state: int) -> Iterator[int]:
+    """SplitMix64's endless stream from a 64-bit seed: golden-gamma increment, two mixes.
 
     Chosen over a platform RNG so stress samples are bit-identical for a
     given seed no matter where the tool runs.
     """
-
-    GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int):
-        self._state = check_param("seed", seed)
-
-    def next_u64(self) -> int:
-        self._state = (self._state + self.GAMMA) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _U64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _U64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ParameterError(f"bound must be positive, got {bound}")
-        return self.next_u64() % bound
-
-
-def sample_indices(n: int, k: int, seed: int) -> list[int]:
-    """First k slots of a seeded Fisher-Yates shuffle of 0..n-1, sorted."""
-    if not 0 <= k <= n:
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rng = SplitMix64(seed)
-    idx = list(range(n))
-    for i in range(k):
-        j = i + rng.below(n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:k])
+        yield z ^ (z >> 31)
 
 
 def stress_sample(series: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
     """Subsample floor(cfg.fraction * n) returns without replacement, in order.
 
-    Deterministic for a given (series, cfg.seed); dropped_count carries over
-    unchanged since the subsample introduces no new zero denominators.
+    Keeps the first k slots, sorted, of a Fisher-Yates shuffle of 0..n-1
+    drawn from ``_splitmix64(cfg.seed)``; a k of 0 fails as stage
+    "stress-sample". dropped_count carries over unchanged since the
+    subsample introduces no new zero denominators.
     """
     n = len(series)
-    if n < 2:
-        raise InsufficientDataError(f"{series.ticker}: need >= 2 returns to stress-sample")
     k = snapped_floor(cfg.fraction * n)
     if k < 1:
-        raise InsufficientDataError(
+        raise PipelineError("stress-sample", InsufficientDataError(
             f"{series.ticker}: fraction {cfg.fraction} of {n} returns selects nothing"
-        )
-    keep = sample_indices(n, k, cfg.seed)
+        ))
+    draws = _splitmix64(cfg.seed)
+    idx = list(range(n))
+    for i in range(k):
+        j = i + next(draws) % (n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    keep = sorted(idx[:k])
     return ReturnSeries(series.ticker, series.returns[keep], series.dropped_count)
 
 
@@ -380,14 +361,6 @@ def preprocess(prices: PriceSeries) -> ReturnSeries:
         raise PipelineError("preprocess", exc) from exc
 
 
-def _stress_returns(returns: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
-    """The config's stress sample of returns; failures carry the stage "stress-sample"."""
-    try:
-        return stress_sample(returns, cfg)
-    except TopoRiskError as exc:
-        raise PipelineError("stress-sample", exc) from exc
-
-
 def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> PersistenceDiagramSet:
     """The config's persistence diagrams of the returns' delay embedding.
 
@@ -409,7 +382,8 @@ def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> Per
         threshold = top if cfg.threshold is None else cfg.threshold
         scale = min(threshold, top)
         filtration = build_rips_filtration(collapse_edges(dm, scale), cfg.max_dim, scale)
-        return replace(compute_persistence(filtration), threshold=threshold)
+        diagrams = compute_persistence(filtration).diagrams
+        return PersistenceDiagramSet(diagrams, threshold, cfg.max_dim)
     except TopoRiskError as exc:
         raise PipelineError(stage, exc) from exc
 
@@ -424,7 +398,7 @@ def run_analysis(prices: PriceSeries, cfg: AnalysisConfig) -> RiskReport:
     returns = preprocess(prices)
     var, cvar = tail_risk(returns, cfg.alpha)
     baseline = _diagrams_for(returns, cfg, "baseline-persistence")
-    stress = _diagrams_for(_stress_returns(returns, cfg), cfg, "stress-persistence")
+    stress = _diagrams_for(stress_sample(returns, cfg), cfg, "stress-persistence")
     tvard = tvard_distance(*vectorize(baseline, stress))
 
     bottleneck = None

@@ -25,6 +25,8 @@ from toporisk import (
     normalize,
 )
 
+from toporisk.ingest import ZERO_DENOM_EPS
+
 from conftest import write_price_csv
 
 
@@ -185,6 +187,13 @@ def test_returns_examples():
     r = compute_returns(np.array([1.0, 1.0]), "T")
     assert r.dropped_count == 0
     assert r.returns.tolist() == [0.0]
+
+    # |v_{t-1}| <= ZERO_DENOM_EPS is dropped; the next float above it is kept
+    r = compute_returns(np.array([ZERO_DENOM_EPS, 1.0, 1.0]), "T")
+    assert (r.dropped_count, r.returns.tolist()) == (1, [0.0])
+    above = np.nextafter(ZERO_DENOM_EPS, 1)
+    r = compute_returns(np.array([above, 1.0, 1.0]), "T")
+    assert (r.dropped_count, r.returns.tolist()) == (0, [(1.0 - above) / above, 0.0])
 
 
 def test_returns_all_dropped_or_too_short():

@@ -25,7 +25,6 @@ from toporisk import (
     PipelineError,
     PriceSeries,
     ReturnSeries,
-    SplitMix64,
     bottleneck_distance,
     clean_series,
     compute_returns,
@@ -40,7 +39,7 @@ from toporisk import (
     vectorize,
 )
 from toporisk import tvard
-from toporisk.tvard import _saturates, sample_indices
+from toporisk.tvard import _saturates, _splitmix64
 
 from conftest import install_mutant, weekdays
 
@@ -62,14 +61,14 @@ def reference_splitmix64(seed: int, count: int) -> list[int]:
 
 
 def test_splitmix64_frozen_vectors():
-    g = SplitMix64(0)
-    assert [g.next_u64() for _ in range(3)] == [
+    g = _splitmix64(0)
+    assert [next(g) for _ in range(3)] == [
         16294208416658607535,
         7960286522194355700,
         487617019471545679,
     ]
-    g = SplitMix64(42)
-    assert [g.next_u64() for _ in range(4)] == [
+    g = _splitmix64(42)
+    assert [next(g) for _ in range(4)] == [
         13679457532755275413,
         2949826092126892291,
         5139283748462763858,
@@ -81,17 +80,16 @@ def test_splitmix64_matches_definition():
     rng = random.Random(51)
     for _ in range(20):
         seed = rng.getrandbits(64)
-        g = SplitMix64(seed)
-        assert [g.next_u64() for _ in range(5)] == reference_splitmix64(seed, 5)
+        g = _splitmix64(seed)
+        assert [next(g) for _ in range(5)] == reference_splitmix64(seed, 5)
 
 
 def test_splitmix64_validation():
-    with pytest.raises(ParameterError):
-        SplitMix64(-1)
-    with pytest.raises(ParameterError):
-        SplitMix64(1 << 64)
-    with pytest.raises(ParameterError):
-        SplitMix64(1).below(0)
+    # the config holds the seed rule; the stream takes only a seed that passed it
+    with pytest.raises(ParameterError, match="^seed must"):
+        AnalysisConfig(seed=-1)
+    with pytest.raises(ParameterError, match="^seed must"):
+        AnalysisConfig(seed=1 << 64)
 
 
 def reference_indices(n: int, k: int, seed: int) -> list[int]:
@@ -107,14 +105,14 @@ def test_sample_indices_matches_reference():
     rng = random.Random(52)
     for _ in range(50):
         n = rng.randint(1, 40)
-        k = rng.randint(0, n)
+        k = rng.randint(1, n)
         seed = rng.getrandbits(64)
-        got = sample_indices(n, k, seed)
+        # returns 0..n-1 are their own indices; the snap turns (k / n) * n back into k
+        series = ReturnSeries("T", np.arange(n))
+        got = stress_sample(series, AnalysisConfig(seed=seed, fraction=k / n)).returns.tolist()
         assert got == reference_indices(n, k, seed)
         assert got == sorted(set(got))
         assert all(0 <= i < n for i in got)
-    with pytest.raises(ParameterError):
-        sample_indices(3, 4, 0)
 
 
 # --- stress sampling ---
@@ -135,9 +133,11 @@ def test_stress_sample_cardinality_and_order():
 
 
 def test_stress_sample_full_fraction_is_identity():
-    series = make_returns([0.1, -0.2, 0.3, -0.4, 0.5])
-    out = stress_sample(series, AnalysisConfig(seed=7, fraction=1.0))
-    assert out.returns.tolist() == series.returns.tolist()
+    # k >= 1 is the one sample rule, so a lone return is kept too
+    for values in ([0.1, -0.2, 0.3, -0.4, 0.5], [0.25]):
+        series = make_returns(values)
+        out = stress_sample(series, AnalysisConfig(seed=7, fraction=1.0))
+        assert out.returns.tolist() == values
 
 
 def test_stress_sample_deterministic():
@@ -155,10 +155,11 @@ def test_stress_sample_carries_dropped_count():
 
 
 def test_stress_sample_errors():
-    with pytest.raises(InsufficientDataError):
-        stress_sample(make_returns([0.1]), AnalysisConfig(seed=1, fraction=0.5))
-    with pytest.raises(InsufficientDataError):
-        stress_sample(make_returns([0.1, 0.2]), AnalysisConfig(seed=1, fraction=0.3))
+    for values, fraction in (([0.1], 0.5), ([0.1, 0.2], 0.3)):
+        with pytest.raises(PipelineError, match="selects nothing") as caught:
+            stress_sample(make_returns(values), AnalysisConfig(seed=1, fraction=fraction))
+        assert caught.value.stage == "stress-sample"
+        assert isinstance(caught.value.__cause__, InsufficientDataError)
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
