@@ -12,6 +12,7 @@ sample can never be rerun or audited.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -147,12 +148,14 @@ def _unique_tickers(paths: list[Path]) -> None:
 
 
 def _table(rows: list[dict], fmt: str, numbers: tuple[str, ...]) -> str:
-    """A summary: ``rows`` as a JSON list, or CSV of each row's ticker and ``numbers``."""
+    """A summary: ``rows`` as a JSON list, or RFC 4180 CSV of each row's ticker and ``numbers``."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    lines = [",".join(("ticker",) + numbers)]
-    lines.extend(",".join([row["ticker"]] + [_fmt(row[k]) for k in numbers]) for row in rows)
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(("ticker",) + numbers)
+    out.writerows([row["ticker"]] + [_fmt(row[k]) for k in numbers] for row in rows)
+    return buf.getvalue()
 
 
 def _config(args: argparse.Namespace, **fields) -> AnalysisConfig:

@@ -256,10 +256,12 @@ def compute_returns(values: np.ndarray, ticker: str = "series") -> ReturnSeries:
     """Daily returns R_t = (v_t - v_{t-1}) / v_{t-1} of normalized values, named ``ticker``.
 
     Pairs whose denominator satisfies |v_{t-1}| <= ZERO_DENOM_EPS are
-    skipped and counted in ``dropped_count``. Raises InsufficientDataError
-    when the input is shorter than 2 or every return is dropped.
+    skipped and counted in ``dropped_count``. Raises ParameterError unless
+    the values are 1-D, InsufficientDataError when fewer than 2 or all dropped.
     """
     v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ParameterError(f"{ticker}: values must be 1-D, got shape {v.shape}")
     if v.shape[0] < 2:
         raise InsufficientDataError(f"{ticker}: need >= 2 values to form returns")
     prev = v[:-1]

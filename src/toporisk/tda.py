@@ -82,35 +82,8 @@ class PointCloud:
             raise ParameterError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric nonnegative matrix of pairwise distances, zero diagonal."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError(f"distance matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise ParameterError("distances must be finite and >= 0")
-        if np.any(np.diag(m) != 0):
-            raise ParameterError("distance matrix diagonal must be zero")
-        if not np.array_equal(m, m.T):
-            raise ParameterError("distance matrix must be symmetric")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 class Simplex(NamedTuple):
@@ -210,7 +183,21 @@ def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT
 _DISTANCE_BLOCK_CELLS = 1 << 21
 
 
-def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
+def _checked_distances(entries: Any) -> np.ndarray:
+    """``entries`` as a float64 distance matrix: square, finite, >= 0, zero-diagonal, symmetric."""
+    m = np.asarray(entries, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParameterError(f"distance matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise ParameterError("distances must be finite and >= 0")
+    if np.any(np.diag(m) != 0):
+        raise ParameterError("distance matrix diagonal must be zero")
+    if not np.array_equal(m, m.T):
+        raise ParameterError("distance matrix must be symmetric")
+    return m
+
+
+def distance_matrix(cloud: PointCloud) -> np.ndarray:
     """Pairwise Euclidean distances between the cloud's points.
 
     Rows are computed in blocks whose difference tensor holds at most
@@ -224,7 +211,7 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     for lo in range(0, n, rows):
         diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
         squares[lo : lo + rows] = np.einsum("ijk,ijk->ij", diff, diff)
-    return DistanceMatrix(np.sqrt(squares, out=squares))
+    return _checked_distances(np.sqrt(squares, out=squares))
 
 
 def _members(mask: int) -> list[int]:
@@ -256,7 +243,7 @@ def _dominator(common: int, s: float, adj: list[int], times: list[dict[int, floa
     return -1
 
 
-def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> DistanceMatrix:
+def collapse_edges(dm: Any, threshold: float) -> np.ndarray:
     """A copy of the matrix with the flag filtration's dominated edges delayed or dropped.
 
     The filtered edge collapse of Boissonnat and Pritam ("Edge Collapse
@@ -286,7 +273,7 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
     pass follows the dominator until a common neighbour arrives before
     that neighbour's edge to it, where it tests anew.
     """
-    entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
+    entries = _checked_distances(dm)
     if threshold is None:
         raise ParameterError("collapse_edges needs a threshold, not None: resolve it first")
     thr = check_param("threshold", threshold)
@@ -365,13 +352,11 @@ def collapse_edges(dm: Union[DistanceMatrix, np.ndarray], threshold: float) -> D
     if moved:
         (a, b), s = np.array(list(moved)).T, np.array(list(moved.values()))
         out[a, b] = out[b, a] = np.where(np.isinf(s), above, s)
-    return DistanceMatrix(out)
+    return out
 
 
 def build_rips_filtration(
-    dm: Union[DistanceMatrix, np.ndarray],
-    max_dim: int = DEFAULT_MAX_DIM,
-    threshold: float | None = None,
+    dm: Any, max_dim: int = DEFAULT_MAX_DIM, threshold: float | None = None
 ) -> Filtration:
     """Vietoris-Rips filtration: every simplex whose diameter fits the scale.
 
@@ -394,7 +379,7 @@ def build_rips_filtration(
     enumeration is O(n^4) at that scale, so large clouds want an explicit
     threshold or an edge-collapsed matrix (``collapse_edges``).
     """
-    entries = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)).entries
+    entries = _checked_distances(dm)
     n = entries.shape[0]
     max_dim = check_param("max_dim", max_dim)
     thr = float(entries.max(initial=0.0)) if threshold is None else check_param("threshold", threshold)

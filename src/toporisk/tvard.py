@@ -255,10 +255,17 @@ def bottleneck_distance(
     a greedy matching completed by augmenting paths (``_saturates``).
     Neither the search nor the matching recurses.
     """
-    a = np.asarray(d1, dtype=np.float64).reshape(-1, 2)
-    b = np.asarray(d2, dtype=np.float64).reshape(-1, 2)
+    try:
+        a, b = np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a ragged sequence, or not numbers
+        raise ParameterError(f"a diagram must be (birth, death) pairs: {exc}") from exc
+    if any(p.size and (p.ndim != 2 or p.shape[1] != 2) for p in (a, b)):
+        raise ParameterError("a diagram must be empty or k x 2 (birth, death) pairs")
+    a, b = a.reshape(-1, 2), b.reshape(-1, 2)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ParameterError("bottleneck distance needs finite pairs; cap infinities first")
+    if np.any(a[:, 1] < a[:, 0]) or np.any(b[:, 1] < b[:, 0]):
+        raise ParameterError("a diagram pair must not die before it is born")
     cost = np.maximum(
         np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
     )
@@ -378,7 +385,7 @@ def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> Per
     try:
         cloud = delay_embed(returns, cfg.window, cfg.stride)
         dm = distance_matrix(cloud)
-        top = float(dm.entries.max(initial=0.0))
+        top = float(dm.max(initial=0.0))
         threshold = top if cfg.threshold is None else cfg.threshold
         scale = min(threshold, top)
         filtration = build_rips_filtration(collapse_edges(dm, scale), cfg.max_dim, scale)

@@ -85,7 +85,7 @@ def _invoke(capsys, *argv) -> tuple[int, str, str]:
 
 
 def _quantile_scale(cloud: PointCloud, q: float = 0.05) -> float:
-    entries = distance_matrix(cloud).entries
+    entries = distance_matrix(cloud)
     return float(np.quantile(entries[np.triu_indices(entries.shape[0], 1)], q))
 
 
@@ -219,9 +219,9 @@ def test_persistence_vs_brute_force_betti():
         points = rng.uniform(-1.0, 1.0, size=(n, dim))
         dm = distance_matrix(PointCloud(points))
         ds = compute_persistence(build_rips_filtration(dm, max_dim=2))
-        dmax = float(dm.entries.max())
+        dmax = float(dm.max())
         for eps in np.linspace(0.0, dmax * 1.05, 20):
-            if _alive_counts(ds, eps) != _brute_betti(dm.entries, eps):
+            if _alive_counts(ds, eps) != _brute_betti(dm, eps):
                 mismatches += 1
     elapsed = time.perf_counter() - started
     _verdict(
@@ -244,7 +244,7 @@ def test_h0_deaths_match_mst():
         dm = distance_matrix(PointCloud(points))
         ds = compute_persistence(build_rips_filtration(dm, max_dim=1))
         deaths = sorted(d for _, d in ds.diagrams[0] if math.isfinite(d))
-        mst = scipy.sparse.csgraph.minimum_spanning_tree(dm.entries)
+        mst = scipy.sparse.csgraph.minimum_spanning_tree(dm)
         mst_lengths = sorted(mst.data.tolist())
         assert len(deaths) == len(mst_lengths) == n - 1
         worst = max(

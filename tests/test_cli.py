@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv as csv_module
+import io
 import json
 import math
 import os
@@ -49,6 +51,19 @@ def test_var_csv_output(tmp_path, capsys):
     ticker, var, cvar = lines[1].split(",")
     assert ticker == "TICK"
     assert float(cvar) <= float(var)
+
+
+def test_var_csv_quotes_tickers(tmp_path, capsys):
+    # a ticker is its file's stem, which may hold the CSV's comma or quote
+    names = ("A,B", 'Q"X', "TICK")
+    csvs = [make_csv(tmp_path, name, seed=70 + i) for i, name in enumerate(names)]
+    code, out, _ = invoke(capsys, "var", "--input", *map(str, csvs))
+    assert code == 0
+    rows = list(csv_module.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["ticker", *names]
+    assert {len(row) for row in rows} == {3}
+    # an ordinary ticker keeps its bytes
+    assert out.splitlines()[3].startswith("TICK,")
 
 
 def test_var_json_output(tmp_path, capsys):
@@ -367,7 +382,7 @@ def test_star_import_binds_every_public_name():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"bound": True, "unlisted": [], "misbound": []}
     # a name left out of the table leaves __all__ too
-    assert len(toporisk.__all__) == 40
+    assert len(toporisk.__all__) == 39
 
 
 def test_unknown_package_attribute_raises_attribute_error():

@@ -204,6 +204,10 @@ def test_returns_all_dropped_or_too_short():
         compute_returns(np.array([0.5]), "T")
     with pytest.raises(InsufficientDataError, match="^series: need >= 2 values"):
         compute_returns(np.array([0.5]))
+    # a 0-d value has no length, and a 3 x 2 array is no series to take returns of
+    for values in (np.float64(0.5), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])):
+        with pytest.raises(ParameterError, match="^T: values must be 1-D"):
+            compute_returns(values, "T")
 
 
 def test_returns_length_bookkeeping():

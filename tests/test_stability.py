@@ -48,7 +48,7 @@ from conftest import desk_prices as desk_closes, weekdays
 
 
 def quantile_threshold(returns: np.ndarray, q: float, window: int = 10) -> float:
-    entries = distance_matrix(delay_embed(returns, window)).entries
+    entries = distance_matrix(delay_embed(returns, window))
     return float(np.quantile(entries[np.triu_indices(entries.shape[0], 1)], q))
 
 
@@ -69,8 +69,8 @@ def assert_stable(returns: np.ndarray, perturbed: np.ndarray, cfg: AnalysisConfi
     """Check the cloud bound; return the largest ratio of bottleneck to distance change."""
     shift = float(
         np.abs(
-            distance_matrix(delay_embed(returns, cfg.window)).entries
-            - distance_matrix(delay_embed(perturbed, cfg.window)).entries
+            distance_matrix(delay_embed(returns, cfg.window))
+            - distance_matrix(delay_embed(perturbed, cfg.window))
         ).max()
     )
     a = _diagrams_for(ReturnSeries("A", returns), cfg, "baseline-persistence")

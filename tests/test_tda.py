@@ -176,7 +176,7 @@ def test_delay_embed_point_count():
             continue
         cloud = delay_embed(list(range(length)), window, stride)
         assert len(cloud) == (length - window) // stride + 1
-        assert cloud.dimension == window
+        assert cloud.points.shape[1] == window
 
 
 def test_delay_embed_validation():
@@ -204,26 +204,31 @@ def test_delay_embed_accepts_return_series():
 
 def test_distance_matrix_examples():
     dm = distance_matrix(PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]])))
-    assert dm.entries[0, 1] == 5.0
+    assert dm[0, 1] == 5.0
 
     dm = distance_matrix(PointCloud(np.array([[7.0]])))
-    assert dm.entries.tolist() == [[0.0]]
+    assert dm.tolist() == [[0.0]]
 
     dm = distance_matrix(PointCloud(np.array([[0.0], [1.0], [2.0]])))
-    assert dm.entries[0, 2] == dm.entries[0, 1] + dm.entries[1, 2] == 2.0
+    assert dm[0, 2] == dm[0, 1] + dm[1, 2] == 2.0
 
 
 def test_distance_matrix_validation():
-    from toporisk import DistanceMatrix
-
-    with pytest.raises(ParameterError):
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ParameterError):
-        DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
-    with pytest.raises(ParameterError):
-        DistanceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # nonzero diagonal
-    with pytest.raises(ParameterError):
-        DistanceMatrix(np.zeros((2, 3)))  # not square
+    malformed = {
+        "symmetric": [[0.0, 1.0], [2.0, 0.0]],
+        "finite and >= 0": [[0.0, -1.0], [-1.0, 0.0]],
+        "diagonal must be zero": [[1.0, 2.0], [2.0, 1.0]],
+        "square": np.zeros((2, 3)),
+    }
+    # collapse_edges and build_rips_filtration share the one check
+    for message, entries in malformed.items():
+        with pytest.raises(ParameterError, match=message):
+            tda.collapse_edges(entries, 1.0)
+        with pytest.raises(ParameterError, match=message):
+            build_rips_filtration(entries, 1, 1.0)
+    # squared coordinates overflow to inf, which is no distance
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        distance_matrix(PointCloud(np.array([[1e200], [-1e200]])))
     for points in (np.zeros(3), np.zeros((0, 3)), np.array([[0.0, math.nan]])):
         with pytest.raises(ParameterError):
             PointCloud(points)
@@ -239,7 +244,7 @@ def test_distance_matrix_blocks_match_one_shot(n, monkeypatch):
     # blocks of 3 rows: n below, at, across and at several block boundaries
     points = np.random.default_rng(n).normal(size=(n, 4)) * 10.0 ** np.arange(-2, 2)
     monkeypatch.setattr(tda, "_DISTANCE_BLOCK_CELLS", 3 * n * 4)
-    blocked = distance_matrix(PointCloud(points)).entries
+    blocked = distance_matrix(PointCloud(points))
     assert blocked.tobytes() == one_shot_distances(points).tobytes()
 
 
@@ -257,7 +262,7 @@ def test_distance_matrix_block_sizes(monkeypatch):
         points = np.random.default_rng(n).normal(size=(n, 10))
         expected = one_shot_distances(points)
         calls.clear()
-        assert distance_matrix(PointCloud(points)).entries.tobytes() == expected.tobytes()
+        assert distance_matrix(PointCloud(points)).tobytes() == expected.tobytes()
         assert calls == [(n, n, 10)]
     # ten years of closes (2,512 points): blocks of 83 rows, 16.7 MB each
     calls.clear()
@@ -333,7 +338,7 @@ def test_rips_canonical_order_and_closure():
     rng = random.Random(32)
     for _ in range(20):
         cloud = random_cloud(rng, rng.randint(2, 8), rng.randint(2, 3))
-        dm = distance_matrix(cloud).entries
+        dm = distance_matrix(cloud)
         f = build_rips_filtration(dm, 2, None)
         keys = [(s.value, len(s.vertices), s.vertices) for s in f.simplices]
         assert keys == sorted(keys)
@@ -359,7 +364,7 @@ def test_rips_canonical_order_and_closure():
         n, max_dim, quantile = trial % 10 + 1, trial // 10 % 3, trial // 30 % 2
         dim = rng.randint(1, 3)
         raw = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(n)]
-        dm = distance_matrix(PointCloud(np.round(np.array(raw), 1))).entries
+        dm = distance_matrix(PointCloud(np.round(np.array(raw), 1)))
         threshold = None
         if quantile and n > 1:
             threshold = float(np.quantile(dm[np.triu_indices(n, 1)], rng.uniform(0.0, 1.0)))
@@ -406,7 +411,7 @@ def assert_build_matches_mask_expansion(entries: np.ndarray, max_dim: int, thres
 def test_build_matches_mask_expansion_on_tie_heavy_clouds():
     rng = random.Random(43)
     for trial in range(40):
-        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3)).entries
+        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3))
         n = dm.shape[0]
         threshold = None
         if trial % 4 and n > 1:
@@ -421,8 +426,8 @@ def test_build_matches_mask_expansion_on_tie_heavy_clouds():
 
 def test_build_matches_mask_expansion_on_fixture_at_5_percent(synthetic_csv):
     dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
-    assert_build_matches_mask_expansion(dm.entries, 2, threshold)
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
+    assert_build_matches_mask_expansion(dm, 2, threshold)
 
 
 # --- edge collapse ---
@@ -473,14 +478,14 @@ def collapse_corpus():
     """Tie-heavy clouds at quantile and maximum thresholds, then two clouds without ties."""
     rng = random.Random(47)
     for trial in range(150):
-        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3)).entries
+        dm = distance_matrix(tie_heavy_cloud(rng, trial % 3))
         n = dm.shape[0]
         if n > 1:
             dists = dm[np.triu_indices(n, 1)]
             yield dm, float(np.quantile(dists, (0.3, 0.6)[trial % 2]))
         yield dm, float(dm.max())
     for seed in (1, 2):
-        dm = distance_matrix(random_cloud(random.Random(seed), 24, 3)).entries
+        dm = distance_matrix(random_cloud(random.Random(seed), 24, 3))
         yield dm, float(np.quantile(dm[np.triu_indices(24, 1)], 0.4))
 
 
@@ -492,7 +497,7 @@ def collapse_references() -> list[tuple[np.ndarray, float, bytes]]:
 def test_collapse_matches_reference_rule(collapse_references):
     changed = 0
     for dm, threshold, reference in collapse_references:
-        collapsed = tda.collapse_edges(dm, threshold).entries
+        collapsed = tda.collapse_edges(dm, threshold)
         assert collapsed.tobytes() == reference
         changed += not np.array_equal(collapsed, dm)
     assert changed > 200
@@ -516,7 +521,7 @@ COLLAPSE_MUTANTS = {
 def test_collapse_mutant_fails_reference(mutant, collapse_references, monkeypatch):
     install_mutant(monkeypatch, *COLLAPSE_MUTANTS[mutant])
     assert any(
-        tda.collapse_edges(dm, threshold).entries.tobytes() != reference
+        tda.collapse_edges(dm, threshold).tobytes() != reference
         for dm, threshold, reference in collapse_references
     )
 
@@ -541,8 +546,8 @@ def test_collapse_keeps_diagrams_on_desk_shape():
     dates = tuple(weekdays(dt.date(2024, 1, 2), len(closes)))
     returns = preprocess(PriceSeries("DESK", dates, closes))
     dm = distance_matrix(delay_embed(returns, 10, 1))
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.13))
-    counts = assert_collapse_keeps_diagrams(dm.entries, threshold)
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.13))
+    counts = assert_collapse_keeps_diagrams(dm, threshold)
     # against 1,283 edges, 8,483 triangles and 36,608 tetrahedra uncollapsed
     assert counts == [141, 563, 1731, 3453]
 
@@ -558,21 +563,21 @@ def test_collapse_keeps_diagrams_on_desk_shape():
 )
 def test_collapse_keeps_diagrams_on_fixture(synthetic_csv, quantile, expected):
     dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], quantile))
-    assert assert_collapse_keeps_diagrams(dm.entries, threshold) == expected
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], quantile))
+    assert assert_collapse_keeps_diagrams(dm, threshold) == expected
 
 
 def test_collapse_threshold_rules():
     dm = distance_matrix(random_cloud(random.Random(3), 12, 2))
-    top = float(dm.entries.max())
-    collapsed = tda.collapse_edges(dm, top).entries
+    top = float(dm.max())
+    collapsed = tda.collapse_edges(dm, top)
     dropped = collapsed > top
     assert dropped.any()
     assert np.all(collapsed[dropped] == math.nextafter(top, math.inf))
     # entries above the threshold are no edges, and stay as they were
-    low = float(np.median(dm.entries))
-    above = dm.entries > low
-    assert np.array_equal(tda.collapse_edges(dm, low).entries[above], dm.entries[above])
+    low = float(np.median(dm))
+    above = dm > low
+    assert np.array_equal(tda.collapse_edges(dm, low)[above], dm[above])
     for threshold in (None, sys.float_info.max, -1.0, math.nan):
         with pytest.raises(ParameterError):
             tda.collapse_edges(dm, threshold)
@@ -587,7 +592,7 @@ def test_collapse_in_pipeline_at_every_threshold(kind, monkeypatch):
     """
     returns = ReturnSeries("T", np.random.default_rng(4).normal(size=40), 0)
     dm = distance_matrix(delay_embed(returns, 3, 1))
-    top = float(dm.entries.max())
+    top = float(dm.max())
     threshold = {
         "half": top / 2, "top": top, "double": 2 * top, "auto": None,
         "largest float": sys.float_info.max,
@@ -605,8 +610,8 @@ def test_collapse_in_pipeline_at_every_threshold(kind, monkeypatch):
     assert got == compute_persistence(build_rips_filtration(dm, 2, resolved))
     assert got.threshold == resolved
     scale = min(resolved, top)
-    kept = np.count_nonzero(np.triu(tda.collapse_edges(dm, scale).entries <= scale, 1))
-    assert len(built[0].vals[1]) == kept < np.count_nonzero(np.triu(dm.entries <= scale, 1))
+    kept = np.count_nonzero(np.triu(tda.collapse_edges(dm, scale) <= scale, 1))
+    assert len(built[0].vals[1]) == kept < np.count_nonzero(np.triu(dm <= scale, 1))
 
 
 # --- persistence ---
@@ -638,7 +643,7 @@ def test_h0_deaths_match_mst():
         dm = distance_matrix(cloud)
         d = compute_persistence(build_rips_filtration(dm, 0, None))
         deaths = sorted(death for _, death in d.diagrams[0] if math.isfinite(death))
-        mst_lengths = sorted(minimum_spanning_tree(dm.entries).data)
+        mst_lengths = sorted(minimum_spanning_tree(dm).data)
         assert len(deaths) == len(mst_lengths)
         assert all(abs(a - b) < 1e-9 for a, b in zip(deaths, mst_lengths))
 
@@ -865,9 +870,9 @@ def test_pairing_matches_boundary_reduction_oracle():
     for trial in range(240):
         max_dim = trial % 3
         dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
-        n = dm.n
+        n = len(dm)
         if trial % 2 and n > 1:
-            dists = dm.entries[np.triu_indices(n, 1)]
+            dists = dm[np.triu_indices(n, 1)]
             threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
         else:
             threshold = None
@@ -886,7 +891,7 @@ def test_pairing_matches_boundary_reduction_oracle():
 def test_pairing_matches_oracle_on_fixture_at_5_percent(synthetic_csv):
     cloud = delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1)
     dm = distance_matrix(cloud)
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
     f = build_rips_filtration(dm, 2, threshold)
     assert sum(1 for s in f.simplices if len(s.vertices) == 4) == 22529
     assert compute_persistence(f).diagrams == boundary_reduction_diagrams(f)
@@ -971,8 +976,8 @@ def test_apparent_pairs_match_enumeration_on_tie_heavy_clouds():
     for trial in range(240):
         dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
         threshold = None
-        if trial % 2 and dm.n > 1:
-            dists = dm.entries[np.triu_indices(dm.n, 1)]
+        if trial % 2 and len(dm) > 1:
+            dists = dm[np.triu_indices(len(dm), 1)]
             threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
         marked += assert_apparent_pairs_enumerated(build_rips_filtration(dm, trial % 3, threshold))
     assert marked > 2000, marked
@@ -981,7 +986,7 @@ def test_apparent_pairs_match_enumeration_on_tie_heavy_clouds():
 def test_apparent_pairs_match_enumeration_on_fixture_at_5_percent(synthetic_csv):
     cloud = delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1)
     dm = distance_matrix(cloud)
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
     f = build_rips_filtration(dm, 2, threshold)
     # most of the 1,446 edge and 6,923 triangle columns are apparent
     assert assert_apparent_pairs_enumerated(f) > 0.7 * (1446 + 6923)
@@ -1083,8 +1088,8 @@ def test_facet_lookup_paths_agree_on_tie_heavy_clouds():
     for trial in range(120):
         dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
         threshold = None
-        if trial % 2 and dm.n > 1:
-            dists = dm.entries[np.triu_indices(dm.n, 1)]
+        if trial % 2 and len(dm) > 1:
+            dists = dm[np.triu_indices(len(dm), 1)]
             threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
         assert_both_paths_find_the_same_facets(build_rips_filtration(dm, trial % 3, threshold))
     # caller labels far apart, relabelled before keying
@@ -1101,13 +1106,13 @@ def test_facet_lookup_paths_agree_on_tie_heavy_clouds():
 
 def test_facet_lookup_paths_agree_on_fixture_at_5_percent(synthetic_csv, monkeypatch):
     dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
     f = build_rips_filtration(dm, 2, threshold)
     assert_both_paths_find_the_same_facets(f)
 
     # 241 points, the W1 and W2 shape, and 141, the desk shape, look every
     # facet up in the index: the largest, for the tetrahedra, has C(n, 3) slots
-    assert dm.n == 241 and math.comb(241, 3) <= tda._INDEX_SLOTS
+    assert len(dm) == 241 and math.comb(241, 3) <= tda._INDEX_SLOTS
     assert math.comb(141, 3) <= tda._INDEX_SLOTS
 
     def no_search(*args, **kwargs):
@@ -1122,7 +1127,7 @@ def test_sort_path_at_its_real_trigger(monkeypatch):
     # slots, so triangles are found by sort and search, with no patch
     pts = np.random.default_rng(0).standard_normal((400, 3))
     dm = distance_matrix(PointCloud(pts))
-    f = build_rips_filtration(dm, 2, float(np.quantile(dm.entries[np.triu_indices(400, 1)], 0.01)))
+    f = build_rips_filtration(dm, 2, float(np.quantile(dm[np.triu_indices(400, 1)], 0.01)))
     assert [len(v) for v in f.vals] == [400, 798, 679, 379]
     assert math.comb(400, 3) > tda._INDEX_SLOTS >= math.comb(400, 2)
     search, searched_dims = tda._search, []
@@ -1164,15 +1169,15 @@ def test_h0_contract_on_tie_heavy_clouds():
     for trial in range(240):
         dm = distance_matrix(tie_heavy_cloud(rng, rng.randrange(3)))
         threshold = None
-        if trial % 2 and dm.n > 1:
-            dists = dm.entries[np.triu_indices(dm.n, 1)]
+        if trial % 2 and len(dm) > 1:
+            dists = dm[np.triu_indices(len(dm), 1)]
             threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
         assert_h0_contract(build_rips_filtration(dm, trial % 3, threshold))
 
 
 def test_h0_contract_on_fixture_at_5_percent(synthetic_csv):
     dm = distance_matrix(delay_embed(preprocess(load_price_csv(synthetic_csv)), 10, 1))
-    threshold = float(np.quantile(dm.entries[np.triu_indices(dm.n, 1)], 0.05))
+    threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
     assert_h0_contract(build_rips_filtration(dm, 2, threshold))
 
 
@@ -1238,7 +1243,7 @@ def test_euler_characteristic_at_threshold():
         dm = distance_matrix(cloud)
         # keep the scale below every 5-point diameter so no 4-simplex fits
         five_diams = [
-            max(dm.entries[a, b] for a, b in itertools.combinations(subset, 2))
+            max(dm[a, b] for a, b in itertools.combinations(subset, 2))
             for subset in itertools.combinations(range(len(cloud)), 5)
         ]
         threshold = 0.99 * min(five_diams)
@@ -1256,7 +1261,7 @@ def test_scale_equivariance():
     rng = random.Random(38)
     for _ in range(15):
         cloud = random_cloud(rng, rng.randint(3, 7), 2)
-        entries = distance_matrix(cloud).entries
+        entries = distance_matrix(cloud)
         c = rng.uniform(0.2, 4.0)
         base = compute_persistence(build_rips_filtration(entries, 2, None))
         scaled = compute_persistence(build_rips_filtration(entries * c, 2, None))

@@ -313,8 +313,15 @@ def test_bottleneck_examples():
 
 
 def test_bottleneck_rejects_infinite_pairs():
-    with pytest.raises(ParameterError):
-        bottleneck_distance([(0.0, math.inf)], [])
+    # infinite, then malformed: a 4-tuple is no two pairs, a death before its birth
+    # is no pair (it would read as a negative distance), and a 3-tuple, alone or
+    # beside a pair, no pair at all
+    malformed = ([(0.0, 1.0, 2.0, 3.0)], [(1.0, 0.0)], [(0.0, 1.0, 2.0)], [(0.0, 1.0), (0.0, 1.0, 2.0)])
+    for d1 in ([(0.0, math.inf)], *malformed):
+        with pytest.raises(ParameterError):
+            bottleneck_distance(d1, [])
+        with pytest.raises(ParameterError):
+            bottleneck_distance([], d1)
 
 
 def test_bottleneck_symmetric():
@@ -583,7 +590,7 @@ def make_prices(count=60, seed=58) -> PriceSeries:
 def scale_threshold(prices: PriceSeries, window: int, q: float = 0.25) -> float:
     """A moderate Rips scale for test speed: a quantile of pairwise distances."""
     returns = compute_returns(normalize(clean_series(prices)[0]))
-    entries = distance_matrix(delay_embed(returns, window, 1)).entries
+    entries = distance_matrix(delay_embed(returns, window, 1))
     return float(np.quantile(entries[np.triu_indices(entries.shape[0], 1)], q))
 
 
