@@ -22,8 +22,8 @@ _EXPORTS = {
     "ingest": "PriceSeries ReturnSeries clean_series compute_returns load_price_csv normalize",
     "risk": "conditional_var tail_risk value_at_risk",
     "tda": """Filtration PersistenceDiagramSet PointCloud Simplex
-        betti_numbers_at build_rips_filtration collapse_edges compute_persistence delay_embed
-        distance_matrix write_diagram_csv""",
+        build_rips_filtration collapse_edges compute_persistence delay_embed distance_matrix
+        write_diagram_csv""",
     "tvard": """AnalysisConfig RiskReport bottleneck_distance preprocess report_to_json
         run_analysis stress_sample tvard_distance vectorize""",
 }

@@ -63,7 +63,6 @@ PARAMETER_RULES = {
     "threshold": (
         numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be a finite number >= 0 or None"
     ),
-    "epsilon": (numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0"),
     "fraction": (numbers.Real, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "seed": (int, lambda v: 0 <= v < 1 << 64, "be an unsigned 64-bit integer"),
     "jobs": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),

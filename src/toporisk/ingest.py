@@ -2,8 +2,9 @@
 
 Input CSV contract: UTF-8 text, header exactly ``date,close``, one
 ISO-8601 date (``YYYY-MM-DD``) and one decimal close per row, LF or CRLF
-line endings. Rows are sorted by date on load; duplicate dates are
-rejected rather than averaged so data problems surface early.
+line endings. A close has no ``_`` digit separators, though ``float``
+reads ``1_000`` as 1000.0. Rows are sorted by date on load; duplicate
+dates are rejected rather than averaged so data problems surface early.
 
 Loading takes two paths with one outcome. A strict pass reads a
 well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``)
@@ -149,7 +150,7 @@ def _strict_rows(body: str) -> tuple[tuple[dt.date, ...], np.ndarray] | None:
     the per-line rules, which find and report the failure, if any.
     """
     core = body[:-1] if body.endswith("\n") else body
-    if not core.isascii() or "\r" in core:
+    if not core.isascii() or "\r" in core or "_" in core:
         return None
     b = np.frombuffer(core.encode("ascii"), dtype=np.uint8)
     ends = np.append(np.flatnonzero(b == ord("\n")), b.shape[0])
@@ -202,6 +203,8 @@ def _checked_rows(lines: list[str]) -> tuple[tuple[dt.date, ...], np.ndarray]:
         # spellings only YYYY-MM-DD is 10 long with '-' at 4 and 7
         if len(field) != 10 or field[4] != "-" or field[7] != "-":
             raise RowError(line_no, f"bad date {parts[0]!r}: expected YYYY-MM-DD")
+        if "_" in parts[1]:
+            raise RowError(line_no, f"bad close {parts[1]!r}")
         try:
             close = float(parts[1])
         except ValueError as exc:

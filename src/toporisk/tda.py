@@ -20,7 +20,7 @@ per-simplex offsets. Most columns are apparent pairs (a simplex whose
 earliest coface has it as latest facet), paired on the arrays; Python
 reads a column from the CSR, as a list, only when it reduces the rest.
 ``Simplex`` tuples are made only when a caller reads
-``Filtration.simplices``.
+``Filtration.simplices``, which the benchmark's tracer does to count them.
 
 Every command builds the Rips filtration of an edge-collapsed copy of
 the distance matrix. ``collapse_edges`` delays or drops the edges that
@@ -43,17 +43,17 @@ Two deliberate reading choices are worth knowing about:
   two is computed. Cohomology is faster: most coboundary columns need no
   reduction, while most top-dimension boundary columns reduce to zero.
 
-``betti_numbers_at`` recomputes Betti numbers from boundary-matrix ranks
-(rank-nullity) without touching the reduction pairing, so the two code
-paths check each other; do not reimplement one in terms of the other.
+The test suite's oracles (``tests/oracles.py``: Betti numbers by
+rank-nullity, a boundary-matrix reduction, a brute-force Rips
+enumeration) share no code with this module; do not reimplement them in
+terms of it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, NamedTuple, Sequence, Union
 
@@ -93,47 +93,31 @@ class Simplex(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices in canonical order: by value, then dimension, then vertices.
+    """Simplices per dimension in canonical order: by value, then vertices.
 
-    Contains every simplex of dimension <= max_dim + 1 with diameter <=
-    threshold; the extra dimension supplies the cofaces that can kill
-    max_dim-cycles.
-
-    ``build_rips_filtration`` stores it per dimension q = 0..max_dim + 1:
-    ``verts[q]``, a k x (q+1) int array of the q-simplices' increasing
-    vertices in canonical order, and ``vals[q]``, their values. From those,
-    ``simplices`` (one tuple of ``Simplex`` items with ``int`` vertices and
-    ``float`` values, as a caller would pass it) is derived on first read.
-    A filtration constructed from a caller's ``simplices`` tuple has
-    ``verts`` and ``vals`` None; ``compute_persistence`` converts it to the
-    same arrays and checks both kinds with one vectorized checker. The
-    arrays take no part in ``==`` or ``hash``.
+    For each dimension q = 0..max_dim + 1, ``verts[q]`` is a k x (q+1)
+    integer array of the q-simplices' increasing vertex ids and
+    ``vals[q]`` their values. ``build_rips_filtration`` fills it with
+    every simplex of diameter <= threshold; the extra dimension supplies
+    the cofaces that can kill max_dim-cycles. ``compute_persistence``
+    checks the arrays before it reads them.
     """
 
-    simplices: tuple[Simplex, ...]
+    verts: tuple[np.ndarray, ...]
+    vals: tuple[np.ndarray, ...]
     threshold: float
     max_dim: int
-    verts: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    vals: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
-    @classmethod
-    def _from_arrays(cls, verts: tuple, vals: tuple, threshold: float, max_dim: int) -> Filtration:
-        f = object.__new__(cls)
-        fields = {"threshold": threshold, "max_dim": max_dim, "verts": verts, "vals": vals}
-        for name, value in fields.items():
-            object.__setattr__(f, name, value)
-        return f
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        """Every simplex as a ``Simplex`` with ``int`` vertices and a ``float`` value.
 
-    def __getattr__(self, name: str) -> Any:
-        # reached only for ``simplices`` of a filtration made from arrays
-        if name != "simplices" or self.verts is None:
-            raise AttributeError(name)
+        Ordered by value, then dimension, then vertices. Kept only for the
+        benchmark's tracer, which counts simplices from it; it goes once
+        the tracer counts ``len(f.vals[q])``.
+        """
         per_dim = [
             s
             for verts, vals in zip(self.verts, self.vals)
@@ -142,9 +126,7 @@ class Filtration:
         # dimensions are concatenated in order, so a stable sort by value
         # gives the canonical (value, dimension, vertices) order
         order = np.argsort(np.concatenate(self.vals), kind="stable")
-        simplices = tuple(map(per_dim.__getitem__, order.tolist()))
-        object.__setattr__(self, "simplices", simplices)
-        return simplices
+        return tuple(map(per_dim.__getitem__, order.tolist()))
 
 
 @dataclass(frozen=True)
@@ -412,7 +394,7 @@ def build_rips_filtration(
         all_verts.append(verts[order])
         all_vals.append(vals[order])
 
-    return Filtration._from_arrays(tuple(all_verts), tuple(all_vals), thr, max_dim)
+    return Filtration(tuple(all_verts), tuple(all_vals), thr, max_dim)
 
 
 def _binomial_table(n: int, k: int) -> np.ndarray:
@@ -450,41 +432,6 @@ def _ordered(vals: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return less
 
 
-def _to_arrays(simplices: tuple, top: int) -> tuple[list, list, np.ndarray]:
-    """A caller's simplex tuple as per-dimension arrays, vertices relabelled 0..m-1.
-
-    Checks what only the sequence shows: every simplex has a vertex, and
-    (value, dimension) never decreases along it. The relabelling keeps
-    vertex order, so the arrays satisfy the same checks as the tuple;
-    ``labels[i]`` is the caller's label of vertex i.
-    """
-    vertices, values = zip(*simplices) if simplices else ((), ())
-    sizes = np.fromiter(map(len, vertices), dtype=np.intp, count=len(vertices))
-    # + 0.0 reads a caller's -0.0 as the 0.0 the builder gives
-    values = np.array(values, dtype=np.float64) + 0.0
-    if np.any(sizes == 0):
-        raise InternalInvariantError("simplex () has no vertices")
-    dims = sizes - 1
-    # NaN compares false here and is rejected by the threshold check
-    back = (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & (dims[1:] < dims[:-1]))
-    if back.any():
-        first_late = vertices[np.argmax(back) + 1]
-        raise InternalInvariantError(f"filtration order violated at {first_late}")
-    # labels need only be hashable and ordered, as sorted vertex tuples are
-    flat = list(itertools.chain.from_iterable(vertices))
-    labels = sorted(set(flat))
-    rank = {label: i for i, label in enumerate(labels)}
-    relabelled = np.fromiter(map(rank.__getitem__, flat), dtype=np.intp, count=len(flat))
-    labels = np.array(labels, dtype=object)
-    first = np.cumsum(sizes) - sizes
-    verts, vals = [], []
-    for q in range(max(top, int(dims.max(initial=0))) + 1):
-        idx = np.flatnonzero(dims == q)
-        verts.append(relabelled[first[idx, None] + np.arange(q + 1)])
-        vals.append(values[idx])
-    return verts, vals, labels
-
-
 def _search(keys: np.ndarray, order: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``order[i]`` for each query equal to ``keys[i]``, ``len(keys)`` for one equal to none.
 
@@ -505,21 +452,19 @@ _INDEX_SLOTS = 1 << 23
 
 
 def _facet_positions(
-    verts: Sequence[np.ndarray],
-    vals: Sequence[np.ndarray],
-    threshold: float,
-    top: int,
-    labels: np.ndarray | None = None,
+    verts: Sequence[np.ndarray], vals: Sequence[np.ndarray], threshold: float, top: int
 ) -> list[np.ndarray]:
     """Check a filtration's per-dimension arrays and locate every facet.
 
-    Checks, one dimension at a time: dimension at most ``top``, values
-    within the threshold, zero-valued vertices, strictly increasing
-    vertices, canonical (value, vertices) order, no duplicates, and every
-    facet present and valued at or below its coface. Returns ``facets``
-    with ``facets[q][i, j]`` the position among the (q-1)-simplices of
-    q-simplex i's facet without vertex j, for q = 1..top. ``labels`` maps
-    array vertices back to the caller's for messages.
+    Checks one vertex and one value array per dimension 0..``top``, then,
+    one dimension at a time: a 1-D value array and an integer vertex array
+    of its length and q + 1 columns, values within the threshold,
+    zero-valued vertices, strictly increasing vertices, vertex ids below
+    the vertex count, canonical (value, vertices) order, no duplicates,
+    and every facet present and valued at or below its coface. Returns
+    ``facets`` with ``facets[q][i, j]`` the position among the
+    (q-1)-simplices of q-simplex i's facet without vertex j, for q =
+    1..top.
 
     Facets are found by key, and (q-1)-simplex keys on m vertices are
     below C(m, q). Up to ``_INDEX_SLOTS`` such slots (2**23, so the index
@@ -533,18 +478,28 @@ def _facet_positions(
     check that a face is valued at or below its coface.
     """
 
-    def name(row: np.ndarray) -> tuple[int, ...]:
-        return tuple((row if labels is None else labels[row]).tolist())
-
     def fail(message: str, q: int, bad: np.ndarray) -> None:
         if bad.any():
-            raise InternalInvariantError(message.format(name(verts[q][np.argmax(bad)])))
+            raise InternalInvariantError(message.format(tuple(verts[q][np.argmax(bad)].tolist())))
 
-    if len(verts) > top + 1:
-        raise InternalInvariantError(f"simplex {name(verts[-1][0])} exceeds dimension {top}")
-    table = _binomial_table(1 + max((int(v.max()) for v in verts if v.size), default=0), len(verts))
-    facets: list[np.ndarray] = [np.empty((len(verts[0]), 0), dtype=np.intp)]
+    if len(verts) != top + 1 or len(vals) != top + 1:
+        raise InternalInvariantError(
+            f"need one vertex and one value array per dimension 0..{top},"
+            f" got {len(verts)} and {len(vals)}"
+        )
+    # keys are sized by the vertex count, which the id check below holds every id under
+    n = len(verts[0])
+    table = _binomial_table(n, top + 1)
+    facets: list[np.ndarray] = [np.empty((n, 0), dtype=np.intp)]
     for q, (v, x) in enumerate(zip(verts, vals)):
+        if not (
+            isinstance(x, np.ndarray) and x.ndim == 1 and isinstance(v, np.ndarray)
+            and v.dtype.kind in "iu" and v.shape == (len(x), q + 1)
+        ):
+            raise InternalInvariantError(
+                f"dimension {q} needs a 1-D value array and an integer vertex array"
+                f" of shape (values, {q + 1})"
+            )
         # ``not <=`` also rejects a NaN value or threshold
         fail(f"simplex {{}} value above threshold {threshold}", q, ~(x <= threshold))
         if q == 0:
@@ -554,6 +509,8 @@ def _facet_positions(
         for i in range(q):
             descent |= v[:, i + 1] <= v[:, i]
         fail("vertices not strictly increasing: {}", q, descent)
+        # with increasing vertices, the first and last bound the rest
+        fail(f"simplex {{}} has a vertex id outside [0, {n})", q, (v[:, 0] < 0) | (v[:, -1] >= n))
         fail("filtration order violated at {}", q, np.append(False, ~_ordered(x, v)))
         keys = _keys(v.T, table)
         order = np.argsort(keys)
@@ -580,9 +537,9 @@ def _facet_positions(
                 ok = padded_vals[pos[:, j]] <= x
                 if not ok.all():
                     row = v[np.argmax(~ok)]
-                    face = name(np.delete(row, j))
+                    face = tuple(np.delete(row, j).tolist())
                     raise InternalInvariantError(
-                        f"face {face} of {name(row)} missing or after coface"
+                        f"face {face} of {tuple(row.tolist())} missing or after coface"
                     )
             facets.append(pos)
         below_keys, below_order = keys, order
@@ -608,10 +565,6 @@ def _coboundary_csr(facets: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     oldest = cofaces[starts[cols]]
     apparent = facets[oldest].max(axis=1) == cols
     return starts, cofaces, cols[apparent], oldest[apparent]
-
-
-def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
 
 
 def _merge_edges(facets: np.ndarray, count: int, cleared: np.ndarray | None) -> tuple:
@@ -687,12 +640,12 @@ def _reduce_coboundaries(facets: np.ndarray, count: int, cleared: np.ndarray) ->
 def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     """Persistence diagrams of the filtration via persistent cohomology.
 
-    Works on the per-dimension arrays: the builder's, or those converted
-    from a caller's ``simplices`` tuple. One vectorized check covers both
-    (canonical order, strictly increasing vertices, zero-valued vertices,
-    values within the threshold, dimension at most max_dim + 1, no
-    duplicates, every facet present and valued at or below its coface)
-    and locates each facet by its combinatorial-number-system key.
+    Works on the per-dimension arrays. One vectorized check covers them
+    (array shapes and vertex ids, canonical order, strictly increasing
+    vertices, zero-valued vertices, values within the threshold, one
+    array per dimension 0..max_dim + 1, no duplicates, every facet
+    present and valued at or below its coface) and locates each facet by
+    its combinatorial-number-system key.
     Every dimension q = 0..max_dim is paired under one contract: the
     pairing returns the q-simplices it pairs (columns), the (q+1)-simplex
     that kills each (pivots), and the q-simplices nothing kills (zero
@@ -707,12 +660,8 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     zero column is an essential class, dying at inf.
     """
     check_param("max_dim", f.max_dim)
-    top = f.max_dim + 1
-    if f.verts is None:
-        verts, vals, labels = _to_arrays(f.simplices, top)
-    else:
-        verts, vals, labels = f.verts, f.vals, None
-    facets = _facet_positions(verts, vals, f.threshold, top, labels)
+    vals = f.vals
+    facets = _facet_positions(f.verts, vals, f.threshold, f.max_dim + 1)
 
     diagrams, cleared = {}, None
     for q in range(f.max_dim + 1):
@@ -725,51 +674,6 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
         diagrams[q] = tuple(sorted(pairs))
         cleared = np.bincount(pivots, minlength=len(vals[q + 1])) > 0
     return PersistenceDiagramSet(diagrams, f.threshold, f.max_dim)
-
-
-def _gf2_rank(columns: list[int]) -> int:
-    """Rank of a Z/2 matrix given as column bitmasks."""
-    basis: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            high = col.bit_length() - 1
-            if high in basis:
-                col ^= basis[high]
-            else:
-                basis[high] = col
-                rank += 1
-                break
-    return rank
-
-
-def betti_numbers_at(f: Filtration, epsilon: float) -> list[int]:
-    """Betti numbers beta_0..beta_max_dim of the subcomplex at scale epsilon.
-
-    Computed by rank-nullity from boundary-matrix ranks over Z/2:
-    beta_q = #q-simplices - rank(boundary_q) - rank(boundary_{q+1}).
-    This never consults the reduction pairing, so it serves as an
-    independent check on compute_persistence.
-    """
-    epsilon = check_param("epsilon", epsilon)
-    pos: dict[int, dict[tuple[int, ...], int]] = {q: {} for q in range(4)}
-    for s in f.simplices:
-        if s.value <= epsilon:
-            q = len(s.vertices) - 1
-            pos[q][s.vertices] = len(pos[q])
-
-    ranks = [0] * 5
-    for q in range(1, 4):
-        face_pos = pos[q - 1]
-        cols = []
-        for verts in pos[q]:
-            mask = 0
-            for face in _facets(verts):
-                mask |= 1 << face_pos[face]
-            cols.append(mask)
-        ranks[q] = _gf2_rank(cols)
-
-    return [len(pos[q]) - ranks[q] - ranks[q + 1] for q in range(f.max_dim + 1)]
 
 
 def _format_value(x: float) -> str:

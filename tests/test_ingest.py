@@ -80,6 +80,11 @@ def test_load_row_errors_carry_line_numbers():
     with pytest.raises(RowError):
         load_price_csv(io.StringIO("date,close\n2023-01-02,abc\n"))
 
+    # float() reads 1_000 as 1000.0; a close has no digit separators
+    with pytest.raises(RowError, match="bad close '1_000'") as exc_info:
+        load_price_csv(io.StringIO("date,close\n2024-01-02,100.0\n2024-01-03,1_000\n"))
+    assert exc_info.value.line_no == 3
+
     # Python 3.11's fromisoformat reads these compact and ISO-week spellings
     # too; the contract is YYYY-MM-DD
     for spelling in ("20240102", "2024-W01-2", "2024W012", "2024-W01"):

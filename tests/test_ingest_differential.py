@@ -1,7 +1,9 @@
 """Differential test of load_price_csv against the per-row loader it replaced.
 
 ``reference_load`` is the loader's earlier body, a Python loop over every
-row, kept here verbatim and sharing no code with ``toporisk.ingest``. On
+row, kept here verbatim but for one later rule (a close with a ``_``
+digit separator, which ``float`` reads, is a bad close) and sharing no
+code with ``toporisk.ingest``. On
 every file of the corpus below both must give the same outcome: the same
 exception class, line number and message, or ``==`` dates and byte-equal
 closes. The corpus mixes named cases (CR endings, blank and padded lines,
@@ -57,6 +59,8 @@ def reference_load(text: str):
         # spellings only YYYY-MM-DD is 10 long with '-' at 4 and 7
         if len(field) != 10 or field[4] != "-" or field[7] != "-":
             raise RowError(line_no, f"bad date {parts[0]!r}: expected YYYY-MM-DD")
+        if "_" in parts[1]:
+            raise RowError(line_no, f"bad close {parts[1]!r}")
         try:
             close = float(parts[1])
         except ValueError as exc:
@@ -143,7 +147,6 @@ ACCEPTED = {
     "space after close": with_close(2, "99.5 "),
     "tab around both fields": with_row(2, "\t2024-01-04\t,\t99.5\t"),
     "cr before the comma": with_row(2, "2024-01-04\r,99.5"),
-    "underscore close": with_close(1, "1_000"),
     "arabic-indic close": with_close(1, "١٠٠"),
     "out of order": csv_text([BASE_ROWS[3], BASE_ROWS[0], BASE_ROWS[4], *BASE_ROWS[1:3]]),
     "reversed": csv_text(BASE_ROWS[::-1]),
@@ -154,6 +157,8 @@ ACCEPTED = {
 REJECTED = {
     "lone cr inside a date": with_date(2, "2024-01-\r04"),
     "space inside a close": with_close(2, "1 2"),
+    "underscore close": with_close(1, "1_000"),
+    "underscore inside a fraction": with_close(1, "2_0.5"),
     "extra comma": with_row(2, "2024-01-04,99.5,1"),
     "missing comma": with_row(2, "2024-01-04 99.5"),
     "bad row after blank lines": with_close(2, "abc").replace("close\n", "close\n\n\r\n"),
@@ -257,7 +262,7 @@ def test_strict_pass_takes_well_formed_files_only():
     # the named cases that reach the vectorized path, so a fall back to the
     # per-line rules for every file would not pass unnoticed
     for name in ("well formed", "no final newline", "out of order", "reversed",
-                 "space before close", "underscore close", "exponent close"):
+                 "space before close", "exponent close"):
         assert strict(ACCEPTED[name]) is not None, name
     for name in ("crlf", "blank line", "whitespace-only line", "space before date",
                  "arabic-indic close", "header only"):
@@ -285,6 +290,8 @@ def _mutant(old: str, new: str):
     ("not dashes.all()", "False"),
     # no sort
     ("if (np.diff(ordinals) > 0).all():", "if True:"),
+    # no underscore scan, so 1_000 reads as 1000.0
+    (' or "_" in core', ""),
 ])
 def test_differential_test_catches_a_broken_strict_pass(monkeypatch, old, new):
     monkeypatch.setattr(ingest, "_strict_rows", _mutant(old, new))

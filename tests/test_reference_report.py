@@ -7,9 +7,10 @@ files, and never calls the package's pipeline:
 * the sort-and-index VaR/CVaR oracle (``test_risk``),
 * the stress sample from ``reference_indices`` (``test_tvard``),
 * a literal delay embedding and the one-shot ``einsum`` distances
-  (``test_tda``), so the distances are the package's bit for bit,
+  (``oracles``), so the distances are the package's bit for bit,
 * diagrams by brute-force Rips enumeration and boundary-matrix reduction
-  (``test_tda``),
+  (``oracles``), on plain ``(vertices, value)`` items: no ``Filtration``
+  is built,
 * a vectorization written afresh from the ``tvard`` module docstring,
 * the brute-force bottleneck distance (``test_tvard``), on the cases with
   at most 6 pairs a side in every dimension.
@@ -36,19 +37,17 @@ import pytest
 
 from toporisk import (
     AnalysisConfig,
-    Filtration,
     ParameterError,
     PersistenceDiagramSet,
     PipelineError,
     PriceSeries,
-    Simplex,
     run_analysis,
 )
 from toporisk import tvard
 
 from conftest import install_mutant, weekdays
+from oracles import boundary_reduction_diagrams, brute_force_rips, one_shot_distances
 from test_risk import oracle_cvar, oracle_var
-from test_tda import boundary_reduction_diagrams, brute_force_rips, one_shot_distances
 from test_tvard import brute_bottleneck, reference_indices
 
 ALPHAS = (0.8, 0.9, 0.95, 0.99)
@@ -76,8 +75,7 @@ def reference_diagrams(
     # the brute force enumerates every subset of up to four points
     assert threshold is not None or dm.shape[0] <= 16, "too many points to enumerate at auto"
     scale = float(dm.max()) if threshold is None else threshold
-    simplices = tuple(Simplex(v, d) for v, d in brute_force_rips(dm, max_dim, scale))
-    diagrams = boundary_reduction_diagrams(Filtration(simplices, scale, max_dim))
+    diagrams = boundary_reduction_diagrams(brute_force_rips(dm, max_dim, scale), max_dim)
     return PersistenceDiagramSet(diagrams, scale, max_dim)
 
 

@@ -2,12 +2,15 @@
 
 Four routes cross-check each other here:
 * compute_persistence (merge-edge pass + coboundary reduction with clearing),
-* betti_numbers_at (rank-nullity over Z/2 inside the package),
-* a dense numpy Gaussian elimination over Z/2 written in this file,
-  sharing no code with either of the above,
-* a boundary-matrix reduction written in this file (homology, pivot =
-  latest face, clearing from the top dimension down), whose diagrams
-  must equal compute_persistence's exactly.
+* betti_numbers_at (rank-nullity over Z/2 on column bitmasks),
+* dense_betti (dense numpy Gaussian elimination over Z/2),
+* boundary_reduction_diagrams (homology, pivot = latest face, clearing
+  from the top dimension down), whose diagrams must equal
+  compute_persistence's exactly.
+The last three, with the brute-force Rips enumeration and the one-shot
+distances, live in ``oracles.py`` and share no code with the package.
+Hand-written and malformed filtrations are built there too, from
+``(vertices, value)`` items, through the public ``Filtration`` constructor.
 Plus scipy's minimum spanning tree as the oracle for finite H0 deaths, a
 brute-force enumeration of vertex subsets as the oracle for the Rips build,
 the mask expansion it replaced as a bit-exact differential oracle for it,
@@ -40,7 +43,6 @@ from toporisk import (
     PriceSeries,
     ReturnSeries,
     Simplex,
-    betti_numbers_at,
     build_rips_filtration,
     compute_persistence,
     delay_embed,
@@ -52,6 +54,14 @@ from toporisk import (
 from toporisk import tda, tvard
 
 from conftest import desk_prices, install_mutant, weekdays
+from oracles import (
+    betti_numbers_at,
+    boundary_reduction_diagrams,
+    brute_force_rips,
+    dense_betti,
+    filtration_of,
+    one_shot_distances,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,91 +73,6 @@ def random_cloud(rng: random.Random, n: int, dim: int) -> PointCloud:
 def unit_square_filtration(max_dim=2, threshold=None) -> Filtration:
     pts = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     return build_rips_filtration(distance_matrix(pts), max_dim, threshold)
-
-
-# --- independent Betti oracle: dense Z/2 elimination, no shared code ---
-
-
-def dense_gf2_rank(mat: np.ndarray) -> int:
-    m = (mat % 2).astype(np.uint8).copy()
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def dense_betti(f: Filtration, epsilon: float) -> list[int]:
-    by_dim: dict[int, list[tuple[int, ...]]] = {q: [] for q in range(4)}
-    for s in f.simplices:
-        if s.value <= epsilon:
-            by_dim[len(s.vertices) - 1].append(s.vertices)
-    index = {q: {v: i for i, v in enumerate(by_dim[q])} for q in range(4)}
-
-    ranks = [0] * 5
-    for q in range(1, 4):
-        if not by_dim[q] or not by_dim[q - 1]:
-            continue
-        mat = np.zeros((len(by_dim[q - 1]), len(by_dim[q])), dtype=np.uint8)
-        for col, verts in enumerate(by_dim[q]):
-            for drop in range(len(verts)):
-                face = verts[:drop] + verts[drop + 1 :]
-                mat[index[q - 1][face], col] = 1
-        ranks[q] = dense_gf2_rank(mat)
-    return [len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(f.max_dim + 1)]
-
-
-# --- independent pairing oracle: boundary-matrix reduction, no shared code ---
-
-
-def boundary_reduction_diagrams(f: Filtration) -> dict[int, tuple[tuple[float, float], ...]]:
-    """Persistence diagrams by Z/2 reduction of boundary columns.
-
-    Columns are sets of face positions and a column's pivot is its
-    latest face. Dimensions are reduced from max_dim + 1 down to 1; a
-    column whose simplex is a pivot of the dimension above is skipped
-    (cleared), since it reduces to zero. H0 comes from the edge columns.
-    """
-    by_dim: dict[int, list[tuple[tuple[int, ...], float]]] = {q: [] for q in range(f.max_dim + 2)}
-    for s in f.simplices:
-        by_dim[len(s.vertices) - 1].append((s.vertices, s.value))
-    position = {q: {v: i for i, (v, _) in enumerate(by_dim[q])} for q in by_dim}
-
-    diagrams: dict[int, list[tuple[float, float]]] = {q: [] for q in range(f.max_dim + 1)}
-    cleared: set[int] = set()
-    for q in range(f.max_dim + 1, 0, -1):
-        owner: dict[int, set[int]] = {}
-        for col_idx, (verts, value) in enumerate(by_dim[q]):
-            if col_idx in cleared:
-                continue
-            work = {position[q - 1][verts[:i] + verts[i + 1 :]] for i in range(len(verts))}
-            while work:
-                low = max(work)
-                if low not in owner:
-                    owner[low] = work
-                    birth = by_dim[q - 1][low][1]
-                    if value > birth:
-                        diagrams[q - 1].append((birth, value))
-                    break
-                work = work ^ owner[low]
-            else:
-                if q <= f.max_dim:
-                    diagrams[q].append((value, math.inf))
-        cleared = set(owner)
-    diagrams[0].extend(
-        (value, math.inf) for i, (_, value) in enumerate(by_dim[0]) if i not in cleared
-    )
-    return {q: tuple(sorted(pairs)) for q, pairs in diagrams.items()}
 
 
 # --- delay embedding ---
@@ -234,11 +159,6 @@ def test_distance_matrix_validation():
             PointCloud(points)
 
 
-def one_shot_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13])
 def test_distance_matrix_blocks_match_one_shot(n, monkeypatch):
     # blocks of 3 rows: n below, at, across and at several block boundaries
@@ -319,19 +239,6 @@ def test_rips_validation():
             build_rips_filtration(dm, 1, text)
         with pytest.raises(ParameterError):
             AnalysisConfig(seed=0, threshold=text)
-
-
-def brute_force_rips(dm: np.ndarray, max_dim: int, threshold: float) -> list[tuple]:
-    """Every vertex subset of size <= max_dim + 2 within the threshold, in canonical order."""
-    n = dm.shape[0]
-    found = []
-    for size in range(1, max_dim + 3):
-        for subset in itertools.combinations(range(n), size):
-            diam = max((dm[a, b] for a, b in itertools.combinations(subset, 2)), default=0.0)
-            if diam <= threshold:
-                found.append((subset, float(diam)))
-    found.sort(key=lambda s: (s[1], len(s[0]), s[0]))
-    return found
 
 
 def test_rips_canonical_order_and_closure():
@@ -687,7 +594,7 @@ def assert_raises_alike_on_both_paths(f: Filtration, match: str | None = None) -
 
 
 def test_malformed_filtrations_rejected():
-    tri_before_edges = Filtration(
+    tri_before_edges = filtration_of(
         (
             Simplex((0,), 0.0),
             Simplex((1,), 0.0),
@@ -699,29 +606,29 @@ def test_malformed_filtrations_rejected():
     )
     assert_raises_alike_on_both_paths(tri_before_edges)
 
-    above_threshold = Filtration(
+    above_threshold = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 2.0)), 1.0, 0
     )
     assert_raises_alike_on_both_paths(above_threshold)
 
     # a NaN edge would merge its vertices yet leave no H0 pair; a NaN
     # threshold would admit every value
-    nan_value = Filtration(
+    nan_value = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), math.nan)), 1.0, 0
     )
-    nan_threshold = Filtration(
+    nan_threshold = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 5.0)), math.nan, 0
     )
     for f in (nan_value, nan_threshold):
         assert_raises_alike_on_both_paths(f, "threshold")
 
-    bad_vertex_order = Filtration(
+    bad_vertex_order = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((1, 0), 1.0)), 1.0, 0
     )
     assert_raises_alike_on_both_paths(bad_vertex_order)
 
     verts3 = tuple(Simplex((i,), 0.0) for i in range(3))
-    face_above_coface = Filtration(
+    face_above_coface = filtration_of(
         verts3
         + (
             Simplex((0, 1), 1.0),
@@ -734,17 +641,21 @@ def test_malformed_filtrations_rejected():
     )
     assert_raises_alike_on_both_paths(face_above_coface, "face")
 
-    edge_over_missing_vertex = Filtration(
+    # a missing vertex is an id at or past the vertex count
+    edge_over_missing_vertex = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), 1.0)), 1.0, 0
     )
-    assert_raises_alike_on_both_paths(edge_over_missing_vertex, "face")
+    assert_raises_alike_on_both_paths(edge_over_missing_vertex, r"vertex id outside \[0, 2\)")
     # an infinite coface value, within an infinite threshold, hides no missing face
-    infinite_over_missing_vertex = Filtration(
-        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), math.inf)), math.inf, 0
+    infinite_over_missing_edge = filtration_of(
+        tuple(Simplex((v,), 0.0) for v in range(3))
+        + (Simplex((0, 1), math.inf), Simplex((0, 2), math.inf), Simplex((0, 1, 2), math.inf)),
+        math.inf,
+        1,
     )
-    assert_raises_alike_on_both_paths(infinite_over_missing_vertex, r"face \(2,\) of \(0, 2\)")
+    assert_raises_alike_on_both_paths(infinite_over_missing_edge, r"face \(1, 2\) of \(0, 1, 2\)")
 
-    duplicate = Filtration(
+    duplicate = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0), Simplex((0, 1), 1.0)),
         1.0,
         0,
@@ -756,50 +667,59 @@ def test_malformed_filtrations_rejected():
     tris4 = tuple(Simplex(t, 1.0) for t in itertools.combinations(range(4), 3))
     tet = (Simplex((0, 1, 2, 3), 1.0),)
     open_tet = verts4 + edges4 + tris4[:3] + tet
-    assert_raises_alike_on_both_paths(Filtration(open_tet, 1.0, 1))
-    assert_raises_alike_on_both_paths(Filtration(open_tet, 1.0, 2), "face")
+    assert_raises_alike_on_both_paths(filtration_of(open_tet, 1.0, 1))
+    assert_raises_alike_on_both_paths(filtration_of(open_tet, 1.0, 2), "face")
     # the same tetrahedron with all four triangles is still one dimension too many
     closed_tet = verts4 + edges4 + tris4 + tet
-    assert_raises_alike_on_both_paths(Filtration(closed_tet, 1.0, 1), "exceeds dimension")
+    closed = filtration_of(closed_tet, 1.0, 1)
+    assert_raises_alike_on_both_paths(closed, "one vertex and one value array per dimension 0..2")
+    # and without the top dimension's arrays, one too few
+    short = Filtration(closed.verts[:2], closed.vals[:2], 1.0, 1)
+    assert_raises_alike_on_both_paths(short, "per dimension 0..2, got 2 and 2")
 
 
 def test_filtration_max_dim_out_of_range_rejected():
     for max_dim in (-1, 3):
         with pytest.raises(ParameterError, match="max_dim"):
-            compute_persistence(Filtration((Simplex((0,), 0.0),), 1.0, max_dim))
+            compute_persistence(filtration_of((Simplex((0,), 0.0),), 1.0, max_dim))
 
 
-def test_caller_tuples_checked_like_builder_arrays():
+def test_hand_built_arrays_checked_like_builder_arrays():
     verts2 = (Simplex((0,), 0.0), Simplex((1,), 0.0))
     # the same edge twice, at different values, is still a duplicate
-    twice = Filtration(verts2 + (Simplex((0, 1), 1.0), Simplex((0, 1), 2.0)), 2.0, 0)
+    twice = filtration_of(verts2 + (Simplex((0, 1), 1.0), Simplex((0, 1), 2.0)), 2.0, 0)
     with pytest.raises(InternalInvariantError, match="duplicate"):
         compute_persistence(twice)
-    with pytest.raises(InternalInvariantError, match="no vertices"):
-        compute_persistence(Filtration(verts2 + (Simplex((), 0.0),), 1.0, 0))
     # out of canonical order, though every facet precedes its coface:
-    # tied edges out of vertex order, and a vertex after an edge of equal value
-    verts3 = verts2 + (Simplex((2,), 0.0),)
-    tied = verts3 + (Simplex((1, 2), 1.0), Simplex((0, 1), 1.0))
-    late_vertex = verts2 + (Simplex((0, 1), 0.0), Simplex((2,), 0.0))
-    for simplices in (tied, late_vertex):
-        with pytest.raises(InternalInvariantError, match="order violated"):
-            compute_persistence(Filtration(simplices, 1.0, 0))
-    # labels far beyond the vertex count, or not integers, are relabelled before keying
-    big = 10**15
-    far = Filtration((Simplex((-7,), 0.0), Simplex((big,), 0.0), Simplex((-7, big), 1.0)), 1.0, 1)
-    assert compute_persistence(far).diagrams == {0: ((0.0, 1.0), (0.0, math.inf)), 1: ()}
-    near = Filtration(
-        (Simplex((0.2,), 0.0), Simplex((0.7,), 0.0), Simplex((0.2, 0.7), 1.0)), 1.0, 0
-    )
-    assert compute_persistence(near).diagrams == {0: ((0.0, 1.0), (0.0, math.inf))}
-    # a caller's -0.0 vertex is born at 0.0, which prints as 0, not -0
-    signed = Filtration((Simplex((0,), -0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0)), 1.0, 0)
-    births = [birth for birth, _ in compute_persistence(signed).diagrams[0]]
-    assert [math.copysign(1.0, birth) for birth in births] == [1.0, 1.0]
-    # messages name the caller's labels
-    with pytest.raises(InternalInvariantError, match=rf"face \(10, {big}\) of \(-7, 10, {big}\)"):
-        compute_persistence(Filtration(far.simplices + (Simplex((-7, 10, big), 1.0),), 1.0, 1))
+    # tied edges out of vertex order
+    tied = verts2 + (Simplex((2,), 0.0), Simplex((1, 2), 1.0), Simplex((0, 1), 1.0))
+    with pytest.raises(InternalInvariantError, match="order violated"):
+        compute_persistence(filtration_of(tied, 1.0, 0))
+
+
+# case -> (dimension, its replacement vertex or value array, the message expected),
+# each applied to a path of three vertices and edges (0, 1) and (1, 2)
+IDS, SHAPE = r"vertex id outside \[0, 3\)", r"integer vertex array of shape \(values, "
+MALFORMED_ARRAYS = {
+    "negative id": (1, np.array([[-1, 1], [1, 2]]), None, IDS),
+    "id at the vertex count": (1, np.array([[0, 1], [1, 3]]), None, IDS),
+    "float vertices": (0, np.array([[0.0], [1.0], [2.0]]), None, SHAPE + "1"),
+    "width mismatch": (1, np.array([[0, 1, 2], [0, 1, 2]]), None, SHAPE + "2"),
+    "values of another length": (1, None, np.array([1.0]), SHAPE + "2"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ARRAYS)
+def test_caller_arrays_checked_before_keying(case):
+    """Shapes, dtypes and vertex ids are checked before keys, sized by the vertex count, are taken."""
+    path = tuple(Simplex((v,), 0.0) for v in range(3)) + (Simplex((0, 1), 1.0), Simplex((1, 2), 1.0))
+    good = filtration_of(path, 1.0, 0)
+    assert compute_persistence(good).diagrams == {0: ((0.0, 1.0), (0.0, 1.0), (0.0, math.inf))}
+    q, v, x, message = MALFORMED_ARRAYS[case]
+    verts, vals = list(good.verts), list(good.vals)
+    verts[q] = verts[q] if v is None else v
+    vals[q] = vals[q] if x is None else x
+    assert_raises_alike_on_both_paths(Filtration(tuple(verts), tuple(vals), 1.0, 0), message)
 
 
 def test_simplex_keys_refuse_int64_overflow():
@@ -813,34 +733,6 @@ def test_simplex_keys_refuse_int64_overflow():
         tda._binomial_table(n + 1, 4)
     # three-vertex keys fit far beyond that
     assert tda._binomial_table(n + 1, 3)[-1, 2] == math.comb(n, 3)
-
-
-def test_vertex_labels_need_not_be_contiguous():
-    f = Filtration((Simplex((0,), 0.0), Simplex((5,), 0.0), Simplex((0, 5), 1.0)), 1.0, 0)
-    d = compute_persistence(f)
-    assert d.diagrams[0] == ((0.0, 1.0), (0.0, math.inf))
-    assert betti_numbers_at(f, 1.0) == [1]
-
-    # a triangle's boundary on labels 3, 7, 11 plus a lone vertex 20
-    loop = Filtration(
-        (
-            Simplex((3,), 0.0),
-            Simplex((7,), 0.0),
-            Simplex((11,), 0.0),
-            Simplex((20,), 0.0),
-            Simplex((3, 7), 1.0),
-            Simplex((7, 11), 1.0),
-            Simplex((3, 11), 2.0),
-            Simplex((3, 7, 11), 3.0),
-        ),
-        3.0,
-        1,
-    )
-    d = compute_persistence(loop)
-    assert d.diagrams == boundary_reduction_diagrams(loop)
-    for eps in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-        alive = [sum(1 for b, dth in d.diagrams[q] if b <= eps < dth) for q in range(2)]
-        assert alive == betti_numbers_at(loop, eps)
 
 
 def tie_heavy_cloud(rng: random.Random, kind: int) -> PointCloud:
@@ -879,9 +771,9 @@ def test_pairing_matches_boundary_reduction_oracle():
         f = build_rips_filtration(dm, max_dim, threshold)
         result = compute_persistence(f)
         diagrams = result.diagrams
-        assert diagrams == boundary_reduction_diagrams(f)
-        # a caller's tuple of the same simplices takes the conversion path
-        assert compute_persistence(Filtration(f.simplices, f.threshold, f.max_dim)) == result
+        assert diagrams == boundary_reduction_diagrams(f.simplices, f.max_dim)
+        # the same simplices, written out as items and rebuilt, give the same diagrams
+        assert compute_persistence(filtration_of(f.simplices, f.threshold, f.max_dim)) == result
         for q, pairs in diagrams.items():
             nonempty[q] += bool(pairs)
     # every dimension is exercised, not just H0
@@ -894,7 +786,7 @@ def test_pairing_matches_oracle_on_fixture_at_5_percent(synthetic_csv):
     threshold = float(np.quantile(dm[np.triu_indices(len(dm), 1)], 0.05))
     f = build_rips_filtration(dm, 2, threshold)
     assert sum(1 for s in f.simplices if len(s.vertices) == 4) == 22529
-    assert compute_persistence(f).diagrams == boundary_reduction_diagrams(f)
+    assert compute_persistence(f).diagrams == boundary_reduction_diagrams(f.simplices, f.max_dim)
 
 
 # --- apparent pairs: brute-force enumeration, no shared code ---
@@ -1002,11 +894,11 @@ def test_dimension_with_simplices_but_no_cofaces():
         f = build_rips_filtration(dm, max_dim, 1.0)
         assert f.vals[1].size == 2 and f.vals[2].size == 0
         d = compute_persistence(f)
-        assert d.diagrams == boundary_reduction_diagrams(f)
+        assert d.diagrams == boundary_reduction_diagrams(f.simplices, f.max_dim)
         assert d.diagrams[0] == ((0.0, 1.0), (0.0, 1.0), (0.0, math.inf))
     # a hollow tetrahedron: four triangles, no tetrahedron, so one lives forever
     tet = (0, 1, 2, 3)
-    hollow = Filtration(
+    hollow = filtration_of(
         tuple(Simplex((v,), 0.0) for v in tet)
         + tuple(Simplex(e, 1.0) for e in itertools.combinations(tet, 2))
         + tuple(Simplex(t, 2.0) for t in itertools.combinations(tet, 3)),
@@ -1014,13 +906,13 @@ def test_dimension_with_simplices_but_no_cofaces():
         2,
     )
     d = compute_persistence(hollow)
-    assert d.diagrams == boundary_reduction_diagrams(hollow)
+    assert d.diagrams == boundary_reduction_diagrams(hollow.simplices, hollow.max_dim)
     assert d.diagrams[1] == ((1.0, 2.0),) * 3 and d.diagrams[2] == ((2.0, math.inf),)
 
 
 def test_dimension_whose_columns_are_all_cleared():
     # a square with one diagonal, both triangles filled: each kills a loop
-    square = Filtration(
+    square = filtration_of(
         tuple(Simplex((v,), 0.0) for v in range(4))
         + tuple(Simplex(e, 1.0) for e in ((0, 1), (0, 3), (1, 2), (2, 3)))
         + (Simplex((0, 2), 1.5), Simplex((0, 1, 2), 2.0), Simplex((0, 2, 3), 2.0)),
@@ -1029,7 +921,7 @@ def test_dimension_whose_columns_are_all_cleared():
     )
     assert {(0, 1, 2), (0, 2, 3)} <= negative_simplices(square)
     d = compute_persistence(square)
-    assert d.diagrams == boundary_reduction_diagrams(square)
+    assert d.diagrams == boundary_reduction_diagrams(square.simplices, square.max_dim)
     assert d.diagrams[1] == ((1.0, 2.0), (1.5, 2.0)) and d.diagrams[2] == ()
 
 
@@ -1039,7 +931,7 @@ def test_empty_top_dimension():
         f = unit_square_filtration(max_dim, 1.0)
         assert f.vals[-1].size == 0
         d = compute_persistence(f)
-        assert d.diagrams == boundary_reduction_diagrams(f)
+        assert d.diagrams == boundary_reduction_diagrams(f.simplices, f.max_dim)
         assert d.diagrams[1] == ((1.0, math.inf),)
 
 
@@ -1056,10 +948,10 @@ def test_columns_on_each_side_of_16_bit_sort_keys(right):
         + tuple(Simplex(e, 1.0) for e in edges)
         + (Simplex((0, 1), 2.0), Simplex((0, 1, 256), 3.0), Simplex((0, 1, 257), 3.0))
     )
-    f = Filtration(simplices, 3.0, 1)
+    f = filtration_of(simplices, 3.0, 1)
     assert len(edges) + 1 == {256: 65_536, 257: 65_793}[right]
     d = compute_persistence(f)
-    assert d.diagrams == boundary_reduction_diagrams(f)
+    assert d.diagrams == boundary_reduction_diagrams(f.simplices, f.max_dim)
     # the triangles kill the youngest loop and one born at 1.0; the others stay
     loops = len(edges) - (256 + right)
     assert d.diagrams[1] == ((1.0, 3.0),) + ((1.0, math.inf),) * loops + ((2.0, 3.0),)
@@ -1069,18 +961,13 @@ def test_columns_on_each_side_of_16_bit_sort_keys(right):
 
 
 def assert_both_paths_find_the_same_facets(f: Filtration) -> None:
-    """On the builder's arrays, if any, and on the simplices as a caller's tuple."""
     top = f.max_dim + 1
-    inputs = [tda._to_arrays(f.simplices, top)]
-    if f.verts is not None:
-        inputs.append((f.verts, f.vals, None))
-    for verts, vals, labels in inputs:
-        dense, searched = on_both_lookup_paths(
-            lambda: tda._facet_positions(verts, vals, f.threshold, top, labels)
-        )
-        assert len(dense) == len(searched) == top + 1
-        for got, want in zip(dense, searched):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    dense, searched = on_both_lookup_paths(
+        lambda: tda._facet_positions(f.verts, f.vals, f.threshold, top)
+    )
+    assert len(dense) == len(searched) == top + 1
+    for got, want in zip(dense, searched):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_facet_lookup_paths_agree_on_tie_heavy_clouds():
@@ -1092,16 +979,6 @@ def test_facet_lookup_paths_agree_on_tie_heavy_clouds():
             dists = dm[np.triu_indices(len(dm), 1)]
             threshold = float(np.quantile(dists, rng.uniform(0.05, 0.9)))
         assert_both_paths_find_the_same_facets(build_rips_filtration(dm, trial % 3, threshold))
-    # caller labels far apart, relabelled before keying
-    big = 10**15
-    far = Filtration(
-        (Simplex((-7,), 0.0), Simplex((10,), 0.0), Simplex((big,), 0.0))
-        + (Simplex((-7, 10), 1.0), Simplex((-7, big), 1.0), Simplex((10, big), 1.0))
-        + (Simplex((-7, 10, big), 1.0),),
-        1.0,
-        1,
-    )
-    assert_both_paths_find_the_same_facets(far)
 
 
 def test_facet_lookup_paths_agree_on_fixture_at_5_percent(synthetic_csv, monkeypatch):
@@ -1194,12 +1071,12 @@ def test_facet_index_empty_slots_on_each_side_of_a_dtype(count):
         + (Simplex((0, 1, 2), 2.0),)
     )
     assert len(edges) == len(set(edges)) == count
-    f = Filtration(simplices, 3.0, 1)
+    f = filtration_of(simplices, 3.0, 1)
     assert_both_paths_find_the_same_facets(f)
     # the triangle kills the loop its edges close
     assert compute_persistence(f).diagrams[1][0] == (1.0, 2.0)
     # (256, 257) is no edge, so the triangle on it lacks a face
-    missing = Filtration(simplices + (Simplex((0, 256, 257), 3.0),), 3.0, 1)
+    missing = filtration_of(simplices + (Simplex((0, 256, 257), 3.0),), 3.0, 1)
     assert_raises_alike_on_both_paths(missing, r"face \(256, 257\) of \(0, 256, 257\) missing")
 
 
@@ -1230,9 +1107,6 @@ def test_betti_examples():
     assert betti_numbers_at(f, 1.0) == [1, 1, 0]
     assert betti_numbers_at(f, SQRT2) == [1, 0, 0]
     assert betti_numbers_at(f, 0.5) == [4, 0, 0]
-    for epsilon in (-0.1, math.inf, "1", True, 10**400):
-        with pytest.raises(ParameterError, match="epsilon must"):
-            betti_numbers_at(f, epsilon)
 
 
 def test_euler_characteristic_at_threshold():
