@@ -19,7 +19,7 @@ _EXPORTS = {
     "errors": """BadValueError DegenerateSeriesError DuplicateDateError FormatError
         InsufficientDataError InternalInvariantError ParameterError PipelineError RowError
         TopoRiskError""",
-    "ingest": "PriceSeries ReturnSeries clean_series compute_returns load_price_csv normalize",
+    "ingest": "PriceSeries clean_series compute_returns load_price_csv normalize",
     "risk": "conditional_var tail_risk value_at_risk",
     "tda": """Filtration PersistenceDiagramSet PointCloud Simplex
         build_rips_filtration collapse_edges compute_persistence delay_embed distance_matrix

@@ -3,7 +3,8 @@
 Every error raised by library code derives from ``TopoRiskError`` so callers
 can catch one type at the pipeline boundary while tests can assert on the
 specific failure class. ``check_param`` applies the one rule each named
-parameter has, raising ``ParameterError`` when a value breaks it.
+parameter has, and ``check_vector`` reads a 1-D float64 array, each
+raising ``ParameterError`` when a value breaks its rule.
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ def check_param(name: str, value: Any) -> int | float:
     if number is None or not test(number):
         raise ParameterError(f"{name} must {wording}, got {got or repr(value)}")
     return number
+
+
+def check_vector(name: str, values: Any) -> Any:
+    """``values`` as a 1-D float64 numpy array, or ParameterError naming ``name``."""
+    import numpy as np  # here, so that importing the error classes loads no numpy
+    try:
+        vector = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # not numbers, or ragged
+        raise ParameterError(f"{name} must be 1-D numbers: {exc}") from exc
+    if vector.ndim != 1:
+        raise ParameterError(f"{name} must be 1-D, got shape {vector.shape}")
+    return vector
 
 
 class InternalInvariantError(TopoRiskError):

@@ -19,7 +19,7 @@ error class, line number and message never depend on the path taken.
 
 Returns are computed on the min-max normalized series, so the observation
 at the price minimum maps to 0 and the return that divides by it is
-dropped (and counted) instead of producing an infinity.
+dropped, not made infinite; ``len(values) - 1 - len(returns)`` counts them.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     RowError,
+    check_vector,
 )
 
 # Denominators with |v| at or below this are treated as zero when forming
-# returns; the affected return is skipped and counted, not emitted as inf.
+# returns; the affected return is skipped, not emitted as inf.
 ZERO_DENOM_EPS = 1e-12
 
 # Below this many observations, returns and point clouds are degenerate.
@@ -73,25 +74,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return self.closes.shape[0]
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily returns of a normalized series, with dropped-return bookkeeping.
-
-    ``dropped_count`` is the number of consecutive-pair returns that were
-    skipped because the previous value was (numerically) zero.
-    """
-
-    ticker: str
-    returns: np.ndarray
-    dropped_count: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "returns", np.asarray(self.returns, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.returns.shape[0]
 
 
 def _read_text(source: CsvSource) -> tuple[str, str | None]:
@@ -255,22 +237,19 @@ def normalize(series: PriceSeries) -> np.ndarray:
     return (series.closes - lo) / (hi - lo)
 
 
-def compute_returns(values: np.ndarray, ticker: str = "series") -> ReturnSeries:
-    """Daily returns R_t = (v_t - v_{t-1}) / v_{t-1} of normalized values, named ``ticker``.
+def compute_returns(values: np.ndarray, ticker: str = "series") -> np.ndarray:
+    """Daily returns R_t = (v_t - v_{t-1}) / v_{t-1} of normalized values, a float64 array.
 
-    Pairs whose denominator satisfies |v_{t-1}| <= ZERO_DENOM_EPS are
-    skipped and counted in ``dropped_count``. Raises ParameterError unless
-    the values are 1-D, InsufficientDataError when fewer than 2 or all dropped.
+    Pairs with |v_{t-1}| <= ZERO_DENOM_EPS are skipped: len(values) - 1 -
+    len(returns) of them. Errors name ``ticker``: ParameterError unless the
+    values are 1-D numbers, InsufficientDataError when fewer than 2 or all dropped.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ParameterError(f"{ticker}: values must be 1-D, got shape {v.shape}")
+    v = check_vector(f"{ticker}: values", values)
     if v.shape[0] < 2:
         raise InsufficientDataError(f"{ticker}: need >= 2 values to form returns")
     prev = v[:-1]
     ok = np.abs(prev) > ZERO_DENOM_EPS
-    dropped = int((~ok).sum())
     returns = (v[1:][ok] - prev[ok]) / prev[ok]
     if returns.shape[0] == 0:
         raise InsufficientDataError(f"{ticker}: all returns dropped (zero denominators)")
-    return ReturnSeries(ticker, returns, dropped)
+    return returns

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, check_param
+from .errors import InsufficientDataError, ParameterError, check_param, check_vector
 
 DEFAULT_ALPHA = 0.95
 
@@ -35,23 +35,12 @@ def snapped_floor(x: float) -> int:
     return int(np.floor(x))
 
 
-def _as_returns(sample: Any) -> np.ndarray:
-    arr = np.asarray(getattr(sample, "returns", sample), dtype=np.float64)
-    if arr.ndim != 1:
-        raise ParameterError(f"returns must be 1-D, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise InsufficientDataError("empty return sample")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("returns must be finite")
-    return arr
-
-
 def value_at_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
     """Historical VaR at confidence alpha, in return units.
 
-    ``sample`` is a 1-D array of returns or anything with a ``returns``
-    attribute (e.g. ReturnSeries). Returns the ascending order statistic
-    at k = floor((1 - alpha) * n), clamped to the sample range.
+    ``sample`` is a 1-D array of returns, or a sequence numpy reads as
+    one. Returns the ascending order statistic at k = floor((1 - alpha) *
+    n), clamped to the sample range.
     """
     return tail_risk(sample, alpha)[0]
 
@@ -68,7 +57,11 @@ def conditional_var(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
 def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
     """(value_at_risk, conditional_var) of one sample, from one sort."""
     alpha = check_param("alpha", alpha)
-    r = np.sort(_as_returns(sample))
+    r = np.sort(check_vector("returns", sample))
     n = r.shape[0]
+    if n == 0:
+        raise InsufficientDataError("empty return sample")
+    if not np.isfinite(r).all():
+        raise ParameterError("returns must be finite")
     k = snapped_floor((1.0 - alpha) * n)
     return float(r[min(max(k, 0), n - 1)]), float(np.mean(r[: min(max(1, k), n)]))

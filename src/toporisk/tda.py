@@ -59,7 +59,8 @@ from typing import IO, Any, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientDataError, InternalInvariantError, ParameterError, check_param
+from .errors import InsufficientDataError, InternalInvariantError, ParameterError
+from .errors import check_param, check_vector
 
 DEFAULT_WINDOW = 10
 DEFAULT_STRIDE = 1
@@ -145,14 +146,12 @@ class PersistenceDiagramSet:
 def delay_embed(series: Any, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> PointCloud:
     """Embed a return series as overlapping windows in R^window.
 
-    ``series`` is a 1-D array of returns or anything with a ``returns``
-    attribute. Produces floor((L - window) / stride) + 1 points; raises
+    ``series`` is a 1-D array of returns, or a sequence numpy reads as
+    one. Produces floor((L - window) / stride) + 1 points; raises
     InsufficientDataError when the series is shorter than one window.
     """
     window, stride = check_param("window", window), check_param("stride", stride)
-    r = np.asarray(getattr(series, "returns", series), dtype=np.float64)
-    if r.ndim != 1:
-        raise ParameterError(f"series must be 1-D, got shape {r.shape}")
+    r = check_vector("series", series)
     if r.shape[0] < window:
         raise InsufficientDataError(f"series length {r.shape[0]} < window {window}")
     windows = np.lib.stride_tricks.sliding_window_view(r, window)[::stride]
@@ -457,13 +456,13 @@ def _facet_positions(
     """Check a filtration's per-dimension arrays and locate every facet.
 
     Checks one vertex and one value array per dimension 0..``top``, then,
-    one dimension at a time: a 1-D value array and an integer vertex array
-    of its length and q + 1 columns, values within the threshold,
-    zero-valued vertices, strictly increasing vertices, vertex ids below
-    the vertex count, canonical (value, vertices) order, no duplicates,
-    and every facet present and valued at or below its coface. Returns
-    ``facets`` with ``facets[q][i, j]`` the position among the
-    (q-1)-simplices of q-simplex i's facet without vertex j, for q =
+    one dimension at a time: a 1-D float value array and an integer vertex
+    array of its length and q + 1 columns, values within the threshold,
+    zero-valued vertices, no -0.0 value, strictly increasing vertices,
+    vertex ids below the vertex count, canonical (value, vertices) order,
+    no duplicates, and every facet present and valued at or below its
+    coface. Returns ``facets`` with ``facets[q][i, j]`` the position among
+    the (q-1)-simplices of q-simplex i's facet without vertex j, for q =
     1..top.
 
     Facets are found by key, and (q-1)-simplex keys on m vertices are
@@ -493,8 +492,8 @@ def _facet_positions(
     facets: list[np.ndarray] = [np.empty((n, 0), dtype=np.intp)]
     for q, (v, x) in enumerate(zip(verts, vals)):
         if not (
-            isinstance(x, np.ndarray) and x.ndim == 1 and isinstance(v, np.ndarray)
-            and v.dtype.kind in "iu" and v.shape == (len(x), q + 1)
+            isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == "f"
+            and isinstance(v, np.ndarray) and v.dtype.kind in "iu" and v.shape == (len(x), q + 1)
         ):
             raise InternalInvariantError(
                 f"dimension {q} needs a 1-D value array and an integer vertex array"
@@ -504,6 +503,7 @@ def _facet_positions(
         fail(f"simplex {{}} value above threshold {threshold}", q, ~(x <= threshold))
         if q == 0:
             fail("vertex {} has nonzero value", q, x != 0.0)
+        fail("simplex {} has value -0.0", q, (x == 0.0) & np.signbit(x))  # it prints as -0
         # column by column: a row-wise reduction over q + 1 columns is slower
         descent = np.zeros(len(v), dtype=bool)
         for i in range(q):
@@ -640,10 +640,11 @@ def _reduce_coboundaries(facets: np.ndarray, count: int, cleared: np.ndarray) ->
 def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     """Persistence diagrams of the filtration via persistent cohomology.
 
-    Works on the per-dimension arrays. One vectorized check covers them
-    (array shapes and vertex ids, canonical order, strictly increasing
-    vertices, zero-valued vertices, values within the threshold, one
-    array per dimension 0..max_dim + 1, no duplicates, every facet
+    Works on the per-dimension arrays, after checking max_dim and the
+    threshold as parameters. One vectorized check covers the arrays
+    (shapes, dtypes and vertex ids, canonical order, strictly increasing
+    vertices, zero-valued vertices, no -0.0, values within the threshold,
+    one array per dimension 0..max_dim + 1, no duplicates, every facet
     present and valued at or below its coface) and locates each facet by
     its combinatorial-number-system key.
     Every dimension q = 0..max_dim is paired under one contract: the
@@ -660,8 +661,9 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
     zero column is an essential class, dying at inf.
     """
     check_param("max_dim", f.max_dim)
+    threshold = check_param("threshold", f.threshold)
     vals = f.vals
-    facets = _facet_positions(f.verts, vals, f.threshold, f.max_dim + 1)
+    facets = _facet_positions(f.verts, vals, threshold, f.max_dim + 1)
 
     diagrams, cleared = {}, None
     for q in range(f.max_dim + 1):
@@ -673,7 +675,7 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
         pairs.extend((birth, math.inf) for birth in vals[q][zeros].tolist())
         diagrams[q] = tuple(sorted(pairs))
         cleared = np.bincount(pivots, minlength=len(vals[q + 1])) > 0
-    return PersistenceDiagramSet(diagrams, f.threshold, f.max_dim)
+    return PersistenceDiagramSet(diagrams, threshold, f.max_dim)
 
 
 def _format_value(x: float) -> str:

@@ -14,9 +14,9 @@ and echoed in every report:
 Stress sampling is deterministic given the seed: a SplitMix64 stream
 drives a partial Fisher-Yates shuffle whose first floor(fraction * n)
 slots, re-sorted ascending, are the kept return indices. The subsample
-keeps chronological order. Sampling happens on returns, after
-preprocessing; the report's config block records fraction and seed so
-any number can be regenerated.
+keeps chronological order. Sampling happens on the float64 return array
+``preprocess`` gives; the report's config block records fraction and
+seed so any number can be regenerated.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError, check_param
-from .ingest import PriceSeries, ReturnSeries, clean_series, compute_returns, normalize
+from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError
+from .errors import check_param, check_vector
+from .ingest import PriceSeries, clean_series, compute_returns, normalize
 from .risk import DEFAULT_ALPHA, snapped_floor, tail_risk
 from .tda import (
     DEFAULT_MAX_DIM,
@@ -59,19 +60,19 @@ def _splitmix64(state: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-def stress_sample(series: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
+def stress_sample(returns: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     """Subsample floor(cfg.fraction * n) returns without replacement, in order.
 
     Keeps the first k slots, sorted, of a Fisher-Yates shuffle of 0..n-1
     drawn from ``_splitmix64(cfg.seed)``; a k of 0 fails as stage
-    "stress-sample". dropped_count carries over unchanged since the
-    subsample introduces no new zero denominators.
+    "stress-sample". Raises ParameterError unless the returns are 1-D numbers.
     """
-    n = len(series)
+    returns = check_vector("returns", returns)
+    n = len(returns)
     k = snapped_floor(cfg.fraction * n)
     if k < 1:
         raise PipelineError("stress-sample", InsufficientDataError(
-            f"{series.ticker}: fraction {cfg.fraction} of {n} returns selects nothing"
+            f"fraction {cfg.fraction} of {n} returns selects nothing"
         ))
     draws = _splitmix64(cfg.seed)
     idx = list(range(n))
@@ -79,7 +80,7 @@ def stress_sample(series: ReturnSeries, cfg: AnalysisConfig) -> ReturnSeries:
         j = i + next(draws) % (n - i)
         idx[i], idx[j] = idx[j], idx[i]
     keep = sorted(idx[:k])
-    return ReturnSeries(series.ticker, series.returns[keep], series.dropped_count)
+    return returns[keep]
 
 
 def _ordered_pairs(
@@ -126,9 +127,8 @@ def vectorize(
 
 def tvard_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean norm of the difference between two 1-D feature vectors of one length."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
+    a, b = check_vector("feature vectors", a), check_vector("feature vectors", b)
+    if a.shape != b.shape:
         raise ParameterError(
             f"feature vectors not comparable: shapes {a.shape} vs {b.shape}, need equal 1-D"
         )
@@ -359,8 +359,8 @@ def report_to_json(report: RiskReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def preprocess(prices: PriceSeries) -> ReturnSeries:
-    """clean -> normalize -> returns; failures carry the stage "preprocess"."""
+def preprocess(prices: PriceSeries) -> np.ndarray:
+    """clean -> normalize -> returns array; failures carry the stage "preprocess"."""
     try:
         cleaned, _ = clean_series(prices)
         return compute_returns(normalize(cleaned), prices.ticker)
@@ -368,7 +368,7 @@ def preprocess(prices: PriceSeries) -> ReturnSeries:
         raise PipelineError("preprocess", exc) from exc
 
 
-def _diagrams_for(returns: ReturnSeries, cfg: AnalysisConfig, stage: str) -> PersistenceDiagramSet:
+def _diagrams_for(returns: np.ndarray, cfg: AnalysisConfig, stage: str) -> PersistenceDiagramSet:
     """The config's persistence diagrams of the returns' delay embedding.
 
     ``collapse_edges`` runs between the distance matrix and the Rips

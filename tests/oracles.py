@@ -1,8 +1,9 @@
 """Test oracles that share no code with the package's fast path.
 
-Each recomputes from first principles what ``toporisk.tda`` computes fast,
-and none calls ``compute_persistence``, ``_facet_positions`` or ``_keys``,
-so an oracle and the package check each other:
+Each recomputes from first principles what the package computes fast,
+and none calls the code it checks (``compute_persistence``,
+``_facet_positions``, ``_keys``, ``tail_risk``, ``stress_sample``,
+``bottleneck_distance``), so an oracle and the package check each other:
 
 * ``one_shot_distances``: the distance matrix as one ``einsum``,
 * ``brute_force_rips``: the Rips filtration by enumerating vertex subsets,
@@ -10,7 +11,14 @@ so an oracle and the package check each other:
   (homology, pivot = latest face, clearing from the top dimension down),
 * ``betti_numbers_at``: Betti numbers by rank-nullity over Z/2, with ranks
   from column bitmasks,
-* ``dense_betti``: the same by dense numpy Gaussian elimination over Z/2.
+* ``dense_betti``: the same by dense numpy Gaussian elimination over Z/2,
+* ``oracle_var`` and ``oracle_cvar``: historical VaR and CVaR by sorting,
+  with the tail index in exact rational arithmetic (``oracle_index``),
+* ``reference_indices``: the stress sample's kept indices, a Fisher-Yates
+  shuffle driven by SplitMix64 written from its definition
+  (``reference_splitmix64``),
+* ``brute_bottleneck``: the bottleneck distance by enumerating every
+  partial matching, with L-infinity pair costs (``linf``).
 
 ``filtration_of`` turns hand-written ``(vertices, value)`` items into the
 arrays of a ``Filtration`` as given, malformed ones included, so tests
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,3 +205,66 @@ def dense_betti(f: Filtration, epsilon: float) -> list[int]:
                 mat[index[q - 1][face], col] = 1
         ranks[q] = dense_gf2_rank(mat)
     return [len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(f.max_dim + 1)]
+
+
+def oracle_index(alpha: float, n: int) -> int:
+    k = int((1 - Fraction(str(alpha))) * n)  # Fraction floors toward zero
+    return min(max(k, 0), n - 1)
+
+
+def oracle_var(returns: list[float], alpha: float) -> float:
+    s = sorted(returns)
+    return s[oracle_index(alpha, len(s))]
+
+
+def oracle_cvar(returns: list[float], alpha: float) -> float:
+    s = sorted(returns)
+    count = max(1, int((1 - Fraction(str(alpha))) * len(s)))
+    count = min(count, len(s))
+    return sum(s[:count]) / count
+
+
+def reference_splitmix64(seed: int, count: int) -> list[int]:
+    mask = (1 << 64) - 1
+    out = []
+    state = seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append((z ^ (z >> 31)) & mask)
+    return out
+
+
+def reference_indices(n: int, k: int, seed: int) -> list[int]:
+    stream = iter(reference_splitmix64(seed, k))
+    idx = list(range(n))
+    for i in range(k):
+        j = i + next(stream) % (n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])
+
+
+def linf(p, q) -> float:
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+
+def brute_bottleneck(d1, d2) -> float:
+    """Minimum over all partial matchings of the max pair cost."""
+    best = math.inf
+    n1, n2 = len(d1), len(d2)
+    diag1 = [(p[1] - p[0]) / 2.0 for p in d1]
+    diag2 = [(p[1] - p[0]) / 2.0 for p in d2]
+    for k in range(min(n1, n2) + 1):
+        for chosen1 in itertools.combinations(range(n1), k):
+            for chosen2 in itertools.permutations(range(n2), k):
+                cost = 0.0
+                for i, j in zip(chosen1, chosen2):
+                    cost = max(cost, linf(d1[i], d2[j]))
+                for i in set(range(n1)) - set(chosen1):
+                    cost = max(cost, diag1[i])
+                for j in set(range(n2)) - set(chosen2):
+                    cost = max(cost, diag2[j])
+                best = min(best, cost)
+    return 0.0 if best is math.inf else best

@@ -182,23 +182,22 @@ def test_normalize_affine_invariance():
 
 def test_returns_examples():
     r = compute_returns(np.array([0.5, 0.75, 1.0]), "T")
-    assert (r.ticker, r.dropped_count) == ("T", 0)
-    assert np.allclose(r.returns, [0.5, 1.0 / 3.0], rtol=0, atol=1e-15)
+    assert type(r) is np.ndarray and r.dtype == np.float64
+    assert len(r) == 2
+    assert np.allclose(r, [0.5, 1.0 / 3.0], rtol=0, atol=1e-15)
 
-    r = compute_returns(np.array([0.0, 0.5, 1.0]), "T")
-    assert r.dropped_count == 1
-    assert r.returns.tolist() == [1.0]
-
-    r = compute_returns(np.array([1.0, 1.0]), "T")
-    assert r.dropped_count == 0
-    assert r.returns.tolist() == [0.0]
-
-    # |v_{t-1}| <= ZERO_DENOM_EPS is dropped; the next float above it is kept
-    r = compute_returns(np.array([ZERO_DENOM_EPS, 1.0, 1.0]), "T")
-    assert (r.dropped_count, r.returns.tolist()) == (1, [0.0])
     above = np.nextafter(ZERO_DENOM_EPS, 1)
-    r = compute_returns(np.array([above, 1.0, 1.0]), "T")
-    assert (r.dropped_count, r.returns.tolist()) == (0, [(1.0 - above) / above, 0.0])
+    # (values, dropped, returns), dropped being len(values) - 1 - len(returns)
+    cases = (
+        ([0.0, 0.5, 1.0], 1, [1.0]),
+        ([1.0, 1.0], 0, [0.0]),
+        # |v_{t-1}| <= ZERO_DENOM_EPS is dropped; the next float above it is kept
+        ([ZERO_DENOM_EPS, 1.0, 1.0], 1, [0.0]),
+        ([above, 1.0, 1.0], 0, [(1.0 - above) / above, 0.0]),
+    )
+    for values, dropped, returns in cases:
+        r = compute_returns(np.array(values), "T")
+        assert (len(values) - 1 - len(r), r.tolist()) == (dropped, returns)
 
 
 def test_returns_all_dropped_or_too_short():
@@ -211,7 +210,10 @@ def test_returns_all_dropped_or_too_short():
         compute_returns(np.array([0.5]))
     # a 0-d value has no length, and a 3 x 2 array is no series to take returns of
     for values in (np.float64(0.5), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])):
-        with pytest.raises(ParameterError, match="^T: values must be 1-D"):
+        with pytest.raises(ParameterError, match="^T: values must be 1-D, got shape"):
+            compute_returns(values, "T")
+    for values in (["a", "b"], [[0.5], [0.75, 1.0]], object()):
+        with pytest.raises(ParameterError, match="^T: values must be 1-D numbers"):
             compute_returns(values, "T")
 
 
@@ -219,12 +221,14 @@ def test_returns_length_bookkeeping():
     rng = random.Random(13)
     for _ in range(50):
         n = rng.randint(2, 60)
-        values = [rng.choice([0.0, rng.uniform(0.05, 1.0)]) for _ in range(n)]
+        values = [rng.choice([0.0, ZERO_DENOM_EPS, rng.uniform(0.05, 1.0)]) for _ in range(n)]
         try:
             r = compute_returns(np.array(values), "T")
         except InsufficientDataError:
             continue
-        assert len(r) + r.dropped_count + 1 == n
+        # the zero denominators, counted here, are the returns dropped
+        dropped = sum(abs(v) <= ZERO_DENOM_EPS for v in values[:-1])
+        assert n - 1 - len(r) == dropped
 
 
 def test_pipeline_never_produces_nonfinite(tmp_path):
@@ -243,4 +247,4 @@ def test_pipeline_never_produces_nonfinite(tmp_path):
             r = compute_returns(norm)
         except InsufficientDataError:
             continue
-        assert np.all(np.isfinite(r.returns))
+        assert np.all(np.isfinite(r))

@@ -1,18 +1,18 @@
 """Whole reports against a reference built from the test oracles alone.
 
-``reference_report`` composes the independent oracles of the other test
-files, and never calls the package's pipeline:
+``reference_report`` composes the independent oracles of ``oracles``, and
+never calls the package's pipeline:
 
 * returns from min-max normalized closes, written here in Python floats,
-* the sort-and-index VaR/CVaR oracle (``test_risk``),
-* the stress sample from ``reference_indices`` (``test_tvard``),
+* the sort-and-index VaR/CVaR oracle (``oracles``),
+* the stress sample from ``reference_indices`` (``oracles``),
 * a literal delay embedding and the one-shot ``einsum`` distances
   (``oracles``), so the distances are the package's bit for bit,
 * diagrams by brute-force Rips enumeration and boundary-matrix reduction
   (``oracles``), on plain ``(vertices, value)`` items: no ``Filtration``
   is built,
 * a vectorization written afresh from the ``tvard`` module docstring,
-* the brute-force bottleneck distance (``test_tvard``), on the cases with
+* the brute-force bottleneck distance (``oracles``), on the cases with
   at most 6 pairs a side in every dimension.
 
 So the glue between stages is pinned: the infinite-death cap, the pair
@@ -46,9 +46,15 @@ from toporisk import (
 from toporisk import tvard
 
 from conftest import install_mutant, weekdays
-from oracles import boundary_reduction_diagrams, brute_force_rips, one_shot_distances
-from test_risk import oracle_cvar, oracle_var
-from test_tvard import brute_bottleneck, reference_indices
+from oracles import (
+    boundary_reduction_diagrams,
+    brute_bottleneck,
+    brute_force_rips,
+    one_shot_distances,
+    oracle_cvar,
+    oracle_var,
+    reference_indices,
+)
 
 ALPHAS = (0.8, 0.9, 0.95, 0.99)
 FRACTIONS = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -308,7 +314,7 @@ MUTANTS = {
     "no padding": (tvard.vectorize, " + [(0.0, 0.0)] * (width - len(pairs))", ""),
     "ties by birth descending": (tvard._ordered_pairs, ", p[0]))", ", -p[0]))"),
     "stress indices off by one": (
-        tvard.stress_sample, "series.returns[keep]", "series.returns[[i - 1 for i in keep]]"
+        tvard.stress_sample, "returns[keep]", "returns[[i - 1 for i in keep]]"
     ),
 }
 

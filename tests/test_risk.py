@@ -1,8 +1,9 @@
 """Historical VaR/CVaR against a brute-force sort-and-index oracle.
 
-The oracle computes the tail index with exact rational arithmetic
-(Fraction of the decimal alpha literal), so it cannot inherit the
-binary floating-point wobble the implementation has to snap away:
+The oracle (``oracle_var`` and ``oracle_cvar`` in ``oracles``) computes
+the tail index with exact rational arithmetic (Fraction of the decimal
+alpha literal), so it cannot inherit the binary floating-point wobble
+the implementation has to snap away:
 (1 - 0.8) * 10 is 1.9999999999999996 as a float but exactly 2 as a
 rational, and the intended index is 2.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,24 +25,9 @@ from toporisk import (
 )
 from toporisk.risk import snapped_floor
 
+from oracles import oracle_cvar, oracle_var
+
 ALPHAS = (0.8, 0.9, 0.95, 0.99)
-
-
-def oracle_index(alpha: float, n: int) -> int:
-    k = int((1 - Fraction(str(alpha))) * n)  # Fraction floors toward zero
-    return min(max(k, 0), n - 1)
-
-
-def oracle_var(returns: list[float], alpha: float) -> float:
-    s = sorted(returns)
-    return s[oracle_index(alpha, len(s))]
-
-
-def oracle_cvar(returns: list[float], alpha: float) -> float:
-    s = sorted(returns)
-    count = max(1, int((1 - Fraction(str(alpha))) * len(s)))
-    count = min(count, len(s))
-    return sum(s[:count]) / count
 
 
 def test_worked_examples():
@@ -140,8 +125,13 @@ def test_cvar_never_exceeds_var():
             assert conditional_var(returns, alpha) <= value_at_risk(returns, alpha)
 
 
-def test_accepts_return_series_duck_type():
+def test_refuses_what_numpy_cannot_read_as_1d_numbers():
     class Sample:
         returns = np.array([-0.02, 0.01, 0.03])
 
-    assert value_at_risk(Sample(), 0.95) == -0.02
+    # an object with a ``returns`` attribute is no sample either, and 10**400
+    # is beyond float range
+    for sample in (Sample(), ["a"], [[0.01], [0.02, 0.03]], object(), [10**400]):
+        for measure in (value_at_risk, conditional_var, tail_risk):
+            with pytest.raises(ParameterError, match="^returns must be 1-D numbers"):
+                measure(sample, 0.95)

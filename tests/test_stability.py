@@ -33,7 +33,6 @@ import pytest
 from toporisk import (
     AnalysisConfig,
     PriceSeries,
-    ReturnSeries,
     bottleneck_distance,
     delay_embed,
     distance_matrix,
@@ -58,7 +57,7 @@ def desk_prices() -> PriceSeries:
 
 
 def desk_returns() -> np.ndarray:
-    return preprocess(desk_prices()).returns
+    return preprocess(desk_prices())
 
 
 def capped(pairs, cap: float) -> list[tuple[float, float]]:
@@ -73,8 +72,8 @@ def assert_stable(returns: np.ndarray, perturbed: np.ndarray, cfg: AnalysisConfi
             - distance_matrix(delay_embed(perturbed, cfg.window))
         ).max()
     )
-    a = _diagrams_for(ReturnSeries("A", returns), cfg, "baseline-persistence")
-    b = _diagrams_for(ReturnSeries("B", perturbed), cfg, "baseline-persistence")
+    a = _diagrams_for(returns, cfg, "baseline-persistence")
+    b = _diagrams_for(perturbed, cfg, "baseline-persistence")
     ratio = 0.0
     for q in range(cfg.max_dim + 1):
         da = capped(a.diagrams[q], cfg.threshold)
@@ -87,7 +86,7 @@ def assert_stable(returns: np.ndarray, perturbed: np.ndarray, cfg: AnalysisConfi
 
 
 def test_cloud_stability_on_w1(synthetic_csv):
-    returns = preprocess(load_price_csv(synthetic_csv)).returns
+    returns = preprocess(load_price_csv(synthetic_csv))
     cfg = AnalysisConfig(seed=0, threshold=quantile_threshold(returns, 0.05))
     rng = np.random.default_rng(11)
     ratios = [

@@ -41,7 +41,6 @@ from toporisk import (
     ParameterError,
     PointCloud,
     PriceSeries,
-    ReturnSeries,
     Simplex,
     build_rips_filtration,
     compute_persistence,
@@ -119,9 +118,14 @@ def test_delay_embed_validation():
         delay_embed([1, 2, 3], window=10**5000)
 
 
-def test_delay_embed_accepts_return_series():
-    series = ReturnSeries("T", np.array([0.1, 0.2, 0.3]), 0)
-    assert delay_embed(series, window=2).points.shape == (2, 2)
+def test_delay_embed_refuses_what_numpy_cannot_read_as_1d_numbers():
+    class Series:
+        returns = np.array([0.1, 0.2, 0.3])
+
+    # an object with a ``returns`` attribute is no series either
+    for series in (Series(), ["a", "b"], [[0.1], [0.2, 0.3]], object()):
+        with pytest.raises(ParameterError, match="^series must be 1-D numbers"):
+            delay_embed(series, window=1)
 
 
 # --- distance matrix ---
@@ -497,7 +501,7 @@ def test_collapse_in_pipeline_at_every_threshold(kind, monkeypatch):
     The diagrams equal the full build's and keep the threshold asked for,
     None resolved to the largest entry: it caps infinite deaths.
     """
-    returns = ReturnSeries("T", np.random.default_rng(4).normal(size=40), 0)
+    returns = np.random.default_rng(4).normal(size=40)
     dm = distance_matrix(delay_embed(returns, 3, 1))
     top = float(dm.max())
     threshold = {
@@ -581,11 +585,13 @@ def on_both_lookup_paths(call) -> tuple:
         return dense, call()
 
 
-def assert_raises_alike_on_both_paths(f: Filtration, match: str | None = None) -> None:
-    """compute_persistence(f) raises the same InternalInvariantError on both lookup paths."""
+def assert_raises_alike_on_both_paths(
+    f: Filtration, match: str | None = None, error: type = InternalInvariantError
+) -> None:
+    """compute_persistence(f) raises the same ``error`` on both lookup paths."""
 
     def raised() -> tuple:
-        with pytest.raises(InternalInvariantError, match=match) as info:
+        with pytest.raises(error, match=match) as info:
             compute_persistence(f)
         return type(info.value), str(info.value)
 
@@ -611,16 +617,17 @@ def test_malformed_filtrations_rejected():
     )
     assert_raises_alike_on_both_paths(above_threshold)
 
-    # a NaN edge would merge its vertices yet leave no H0 pair; a NaN
-    # threshold would admit every value
+    # a NaN edge would merge its vertices yet leave no H0 pair
     nan_value = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), math.nan)), 1.0, 0
     )
-    nan_threshold = filtration_of(
-        (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 5.0)), math.nan, 0
-    )
-    for f in (nan_value, nan_threshold):
-        assert_raises_alike_on_both_paths(f, "threshold")
+    assert_raises_alike_on_both_paths(nan_value, "threshold")
+    # the threshold is a parameter, checked by its rule: a NaN one would admit
+    # every value, and a string one cannot be compared with the values
+    edge = (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 5.0))
+    for threshold in (math.nan, math.inf, "1", -1.0):
+        f = filtration_of(edge, threshold, 0)
+        assert_raises_alike_on_both_paths(f, "^threshold must be", ParameterError)
 
     bad_vertex_order = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((1, 0), 1.0)), 1.0, 0
@@ -646,14 +653,27 @@ def test_malformed_filtrations_rejected():
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 2), 1.0)), 1.0, 0
     )
     assert_raises_alike_on_both_paths(edge_over_missing_vertex, r"vertex id outside \[0, 2\)")
-    # an infinite coface value, within an infinite threshold, hides no missing face
+    # an infinite coface value needs an infinite threshold, which
+    # compute_persistence refuses; the facet check alone, within it, still
+    # finds the missing face under the infinite coface
     infinite_over_missing_edge = filtration_of(
         tuple(Simplex((v,), 0.0) for v in range(3))
         + (Simplex((0, 1), math.inf), Simplex((0, 2), math.inf), Simplex((0, 1, 2), math.inf)),
         math.inf,
         1,
     )
-    assert_raises_alike_on_both_paths(infinite_over_missing_edge, r"face \(1, 2\) of \(0, 1, 2\)")
+    assert_raises_alike_on_both_paths(
+        infinite_over_missing_edge, "^threshold must be", ParameterError
+    )
+
+    def missing_face() -> str:
+        f = infinite_over_missing_edge
+        with pytest.raises(InternalInvariantError, match=r"face \(1, 2\) of \(0, 1, 2\)") as info:
+            tda._facet_positions(f.verts, f.vals, f.threshold, 2)
+        return str(info.value)
+
+    dense, searched = on_both_lookup_paths(missing_face)
+    assert dense == searched
 
     duplicate = filtration_of(
         (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0), Simplex((0, 1), 1.0)),
@@ -706,12 +726,17 @@ MALFORMED_ARRAYS = {
     "float vertices": (0, np.array([[0.0], [1.0], [2.0]]), None, SHAPE + "1"),
     "width mismatch": (1, np.array([[0, 1, 2], [0, 1, 2]]), None, SHAPE + "2"),
     "values of another length": (1, None, np.array([1.0]), SHAPE + "2"),
+    "integer values": (1, None, np.array([1, 1]), SHAPE + "2"),
+    "vertex at -0.0": (0, None, np.array([0.0, -0.0, 0.0]), r"simplex \(1,\) has value -0\.0"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_ARRAYS)
 def test_caller_arrays_checked_before_keying(case):
-    """Shapes, dtypes and vertex ids are checked before keys, sized by the vertex count, are taken."""
+    """Shapes, dtypes, -0.0 values and vertex ids are checked before keys are taken.
+
+    Keys are sized by the vertex count: an id at or past it would index past their table.
+    """
     path = tuple(Simplex((v,), 0.0) for v in range(3)) + (Simplex((0, 1), 1.0), Simplex((1, 2), 1.0))
     good = filtration_of(path, 1.0, 0)
     assert compute_persistence(good).diagrams == {0: ((0.0, 1.0), (0.0, 1.0), (0.0, math.inf))}

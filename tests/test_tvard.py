@@ -8,7 +8,6 @@ explicit enumeration of every partial matching on tiny diagrams.
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import json
 import math
 import random
@@ -24,7 +23,6 @@ from toporisk import (
     PersistenceDiagramSet,
     PipelineError,
     PriceSeries,
-    ReturnSeries,
     bottleneck_distance,
     clean_series,
     compute_returns,
@@ -41,23 +39,11 @@ from toporisk import (
 from toporisk import tvard
 from toporisk.tvard import _saturates, _splitmix64
 
-from conftest import install_mutant, weekdays
+from conftest import desk_prices, install_mutant, weekdays
+from oracles import brute_bottleneck, reference_indices, reference_splitmix64
 
 
 # --- RNG ---
-
-
-def reference_splitmix64(seed: int, count: int) -> list[int]:
-    mask = (1 << 64) - 1
-    out = []
-    state = seed
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append((z ^ (z >> 31)) & mask)
-    return out
 
 
 def test_splitmix64_frozen_vectors():
@@ -92,15 +78,6 @@ def test_splitmix64_validation():
         AnalysisConfig(seed=1 << 64)
 
 
-def reference_indices(n: int, k: int, seed: int) -> list[int]:
-    stream = iter(reference_splitmix64(seed, k))
-    idx = list(range(n))
-    for i in range(k):
-        j = i + next(stream) % (n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:k])
-
-
 def test_sample_indices_matches_reference():
     rng = random.Random(52)
     for _ in range(50):
@@ -108,8 +85,7 @@ def test_sample_indices_matches_reference():
         k = rng.randint(1, n)
         seed = rng.getrandbits(64)
         # returns 0..n-1 are their own indices; the snap turns (k / n) * n back into k
-        series = ReturnSeries("T", np.arange(n))
-        got = stress_sample(series, AnalysisConfig(seed=seed, fraction=k / n)).returns.tolist()
+        got = stress_sample(np.arange(n), AnalysisConfig(seed=seed, fraction=k / n)).tolist()
         assert got == reference_indices(n, k, seed)
         assert got == sorted(set(got))
         assert all(0 <= i < n for i in got)
@@ -118,48 +94,41 @@ def test_sample_indices_matches_reference():
 # --- stress sampling ---
 
 
-def make_returns(values, ticker="T", dropped=0) -> ReturnSeries:
-    return ReturnSeries(ticker, np.asarray(values, dtype=np.float64), dropped)
-
-
 def test_stress_sample_cardinality_and_order():
-    series = make_returns([0.1, -0.2, 0.3, -0.4])
+    returns = [0.1, -0.2, 0.3, -0.4]
     for seed in range(10):
-        out = stress_sample(series, AnalysisConfig(seed=seed, fraction=0.5))
+        out = stress_sample(np.array(returns), AnalysisConfig(seed=seed, fraction=0.5))
         assert len(out) == 2
         # kept returns appear in their original relative order
-        positions = [series.returns.tolist().index(v) for v in out.returns]
+        positions = [returns.index(v) for v in out.tolist()]
         assert positions == sorted(positions)
 
 
 def test_stress_sample_full_fraction_is_identity():
     # k >= 1 is the one sample rule, so a lone return is kept too
     for values in ([0.1, -0.2, 0.3, -0.4, 0.5], [0.25]):
-        series = make_returns(values)
-        out = stress_sample(series, AnalysisConfig(seed=7, fraction=1.0))
-        assert out.returns.tolist() == values
+        out = stress_sample(np.array(values), AnalysisConfig(seed=7, fraction=1.0))
+        assert out.tolist() == values
 
 
 def test_stress_sample_deterministic():
-    series = make_returns([random.Random(53).gauss(0, 1) for _ in range(30)])
-    a = stress_sample(series, AnalysisConfig(seed=99, fraction=0.5))
-    b = stress_sample(series, AnalysisConfig(seed=99, fraction=0.5))
-    assert a.returns.tolist() == b.returns.tolist()
-
-
-def test_stress_sample_carries_dropped_count():
-    series = make_returns([0.1, 0.2, 0.3, 0.4], dropped=2)
-    out = stress_sample(series, AnalysisConfig(seed=1, fraction=0.5))
-    assert out.dropped_count == 2
-    assert out.ticker == "T"
+    returns = np.array([random.Random(53).gauss(0, 1) for _ in range(30)])
+    a = stress_sample(returns, AnalysisConfig(seed=99, fraction=0.5))
+    b = stress_sample(returns, AnalysisConfig(seed=99, fraction=0.5))
+    assert a.tolist() == b.tolist()
 
 
 def test_stress_sample_errors():
     for values, fraction in (([0.1], 0.5), ([0.1, 0.2], 0.3)):
         with pytest.raises(PipelineError, match="selects nothing") as caught:
-            stress_sample(make_returns(values), AnalysisConfig(seed=1, fraction=fraction))
+            stress_sample(np.array(values), AnalysisConfig(seed=1, fraction=fraction))
         assert caught.value.stage == "stress-sample"
         assert isinstance(caught.value.__cause__, InsufficientDataError)
+    for returns in (["a"], [[0.1], [0.2, 0.3]], object()):
+        with pytest.raises(ParameterError, match="^returns must be 1-D numbers"):
+            stress_sample(returns, AnalysisConfig(seed=1))
+    with pytest.raises(ParameterError, match=r"^returns must be 1-D, got shape \(2, 2\)"):
+        stress_sample(np.zeros((2, 2)), AnalysisConfig(seed=1))
     with pytest.raises(ParameterError):
         AnalysisConfig(seed=1, fraction=0.0)
     with pytest.raises(ParameterError):
@@ -240,6 +209,10 @@ def test_tvard_distance_examples():
         tvard_distance(square, square)
     with pytest.raises(ParameterError):
         tvard_distance(np.zeros(4), square)
+    for bad in (["a", "b"], [[0.0], [1.0, 2.0]], object()):
+        for a, b in ((bad, [0.0, 0.0]), ([0.0, 0.0], bad)):
+            with pytest.raises(ParameterError, match="^feature vectors must be 1-D numbers"):
+                tvard_distance(a, b)
 
 
 def test_tvard_metric_properties():
@@ -259,30 +232,6 @@ def test_tvard_metric_properties():
 
 
 # --- bottleneck ---
-
-
-def linf(p, q) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
-def brute_bottleneck(d1, d2) -> float:
-    """Minimum over all partial matchings of the max pair cost."""
-    best = math.inf
-    n1, n2 = len(d1), len(d2)
-    diag1 = [(p[1] - p[0]) / 2.0 for p in d1]
-    diag2 = [(p[1] - p[0]) / 2.0 for p in d2]
-    for k in range(min(n1, n2) + 1):
-        for chosen1 in itertools.combinations(range(n1), k):
-            for chosen2 in itertools.permutations(range(n2), k):
-                cost = 0.0
-                for i, j in zip(chosen1, chosen2):
-                    cost = max(cost, linf(d1[i], d2[j]))
-                for i in set(range(n1)) - set(chosen1):
-                    cost = max(cost, diag1[i])
-                for j in set(range(n2)) - set(chosen2):
-                    cost = max(cost, diag2[j])
-                best = min(best, cost)
-    return 0.0 if best is math.inf else best
 
 
 def test_bottleneck_pairs_cap_at_the_larger_threshold():
@@ -544,11 +493,11 @@ def plain_bisection_probes(d1, d2) -> int:
 
 
 def test_desk_report_probes_once_per_dimension(monkeypatch):
-    from test_stability import desk_prices, desk_returns, quantile_threshold
-
-    threshold = quantile_threshold(desk_returns(), 0.13)
+    closes = desk_prices()
+    prices = PriceSeries("DESK", tuple(weekdays(dt.date(2024, 1, 2), len(closes))), closes)
+    threshold = scale_threshold(prices, 10, 0.13)
     calls = count_probes(monkeypatch)
-    report = run_analysis(desk_prices(), AnalysisConfig(seed=0, threshold=threshold, with_bottleneck=True))
+    report = run_analysis(prices, AnalysisConfig(seed=0, threshold=threshold, with_bottleneck=True))
     assert calls[0] == len(report.bottleneck) == 3
 
 
@@ -747,8 +696,8 @@ def test_preprocess_returns_and_stage_label():
     prices = make_prices(30)
     returns = preprocess(prices)
     expected = compute_returns(normalize(clean_series(prices)[0]))
-    assert np.array_equal(returns.returns, expected.returns)
-    assert returns.ticker == prices.ticker == "TEST"
+    assert type(returns) is np.ndarray and returns.dtype == np.float64
+    assert np.array_equal(returns, expected)
 
     count = 40
     dates = tuple(weekdays(dt.date(2024, 1, 2), count))
