@@ -3,8 +3,8 @@
 Every error raised by library code derives from ``TopoRiskError`` so callers
 can catch one type at the pipeline boundary while tests can assert on the
 specific failure class. ``check_param`` applies the one rule each named
-parameter has, and ``check_vector`` reads a 1-D float64 array, each
-raising ``ParameterError`` when a value breaks its rule.
+parameter has, and ``as_array`` and ``check_vector`` read array inputs,
+each raising ``ParameterError`` when a value breaks its rule.
 """
 
 from __future__ import annotations
@@ -89,13 +89,18 @@ def check_param(name: str, value: Any) -> int | float:
     return number
 
 
-def check_vector(name: str, values: Any) -> Any:
-    """``values`` as a 1-D float64 numpy array, or ParameterError naming ``name``."""
+def as_array(name: str, values: Any, dtype: Any = "float64", what: str = "numbers") -> Any:
+    """``np.asarray(values, dtype)``, or ParameterError saying ``name`` must be ``what``."""
     import numpy as np  # here, so that importing the error classes loads no numpy
     try:
-        vector = np.asarray(values, dtype=np.float64)
+        return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # not numbers, or ragged
-        raise ParameterError(f"{name} must be 1-D numbers: {exc}") from exc
+        raise ParameterError(f"{name} must be {what}: {exc}") from exc
+
+
+def check_vector(name: str, values: Any) -> Any:
+    """``values`` as a 1-D float64 numpy array, or ParameterError naming ``name``."""
+    vector = as_array(name, values, what="1-D numbers")
     if vector.ndim != 1:
         raise ParameterError(f"{name} must be 1-D, got shape {vector.shape}")
     return vector

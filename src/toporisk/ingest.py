@@ -8,14 +8,15 @@ dates are rejected rather than averaged so data problems surface early.
 
 Loading takes two paths with one outcome. A strict pass reads a
 well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``)
-with numpy and C-level maps, no Python statement per row: it checks the
-layout on the bytes, converts with ``date.fromisoformat`` and ``float``
-as the per-line rules do, and checks finiteness, sign, order and
-duplicates on arrays. Any body it does not accept, for whatever reason,
-goes to the per-line rules, which accept what they accept (CR endings,
-blank lines, padded fields, non-ASCII digits) and raise at the first
-failing line. They are the only code that raises for a row, so the
-error class, line number and message never depend on the path taken.
+with numpy and C-level maps, no Python statement or ``date`` per row: it
+checks the layout and the date's digits and dashes on the bytes, casts them
+(``S10``) to ``datetime64[D]``, reads the closes with ``float`` as the
+per-line rules do, and checks finiteness, sign, order and duplicates on
+arrays. Any body it does not accept, for whatever reason, goes to the
+per-line rules, which accept what they accept (CR endings, blank lines,
+padded fields, non-ASCII digits) and raise at the first failing line.
+They are the only code that raises for a row, so the error class, line
+number and message never depend on the path taken.
 
 Returns are computed on the min-max normalized series, so the observation
 at the price minimum maps to 0 and the return that divides by it is
@@ -40,6 +41,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     RowError,
+    as_array,
     check_vector,
 )
 
@@ -57,20 +59,29 @@ CsvSource = Union[str, Path, IO[bytes], IO[str]]
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Dated, ordered raw closing prices for one ticker."""
+    """Dated, ordered raw closing prices for one ticker; ``dates`` is ``datetime64[D]``."""
 
     ticker: str
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
     closes: np.ndarray
 
     def __post_init__(self):
-        closes = np.asarray(self.closes, dtype=np.float64)
-        object.__setattr__(self, "closes", closes)
-        if closes.ndim != 1 or len(self.dates) != closes.shape[0]:
+        closes = check_vector("closes", self.closes)
+        raw = as_array("dates", self.dates, None, "a 1-D sequence")
+        # a kind other than date or datetime64 (the cast reads 5 as 1970-01-06) is refused as NaT
+        kinds = set(map(type, raw.ravel())) if raw.dtype == object else {raw.dtype.type}
+        known = raw.size == 0 or all(issubclass(k, (dt.date, np.datetime64)) for k in kinds)
+        days = raw.astype("datetime64[D]", copy=False) if known else np.datetime64("NaT")
+        if np.isnat(days).any():
+            raise ParameterError("dates must be date objects or datetime64 values other than NaT")
+        if days.ndim != 1 or days.shape != closes.shape:
             raise ParameterError("dates and closes must be 1-D and equally long")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if not a < b:
-                raise ParameterError(f"dates must be strictly increasing, got {a} then {b}")
+        later = days[1:] <= days[:-1]
+        if later.any():
+            a, b = days[later.argmax():][:2]
+            raise ParameterError(f"dates must be strictly increasing, got {a} then {b}")
+        object.__setattr__(self, "dates", days)
+        object.__setattr__(self, "closes", closes)
 
     def __len__(self) -> int:
         return self.closes.shape[0]
@@ -125,7 +136,7 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     return PriceSeries(ticker=ticker, dates=dates, closes=closes)
 
 
-def _strict_rows(body: str) -> tuple[tuple[dt.date, ...], np.ndarray] | None:
+def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Rows of a well-formed body sorted by date, or None for any other body.
 
     None means only "not shown well-formed here": the caller then applies
@@ -135,34 +146,37 @@ def _strict_rows(body: str) -> tuple[tuple[dt.date, ...], np.ndarray] | None:
     if not core.isascii() or "\r" in core or "_" in core:
         return None
     b = np.frombuffer(core.encode("ascii"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(b == ord("\n")), b.shape[0])
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends = np.flatnonzero(b == ord("\n"))
     commas = np.flatnonzero(b == ord(","))
-    # one comma per line, at offset 10 inside the line, so the split below
-    # yields exactly the (date, close) pairs; blank lines fail here too
-    if commas.shape != starts.shape or not np.array_equal(commas, starts + 10):
+    # one comma per line, at offset 10: the first at byte 10, each later one 11
+    # past the line end before it (a line too short for that has its newline
+    # among its 10 date bytes, which the checks below refuse)
+    if not np.array_equal(commas, np.append(10, ends + 11)):
         return None
-    dashes = (b[starts + 4] == ord("-")) & (b[starts + 7] == ord("-"))
-    if (commas >= ends).any() or not dashes.all():
+    text = b[(commas - 10)[:, None] + np.arange(10)]
+    digits = text[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0")
+    dashes = text[:, [4, 7]] == ord("-")
+    # the cast below also reads +024-01-02, " 024-01-02", year 0000 and
+    # 2024101-02 (as year 2024101), which the per-line rules reject
+    if (digits > 9).any() or not dashes.all() or not digits[:, :4].any(axis=1).all():
         return None
-    fields = core.replace(",", "\n").split("\n")
     try:
-        days = list(map(dt.date.fromisoformat, fields[0::2]))
-        closes = np.array(list(map(float, fields[1::2])), dtype=np.float64)
+        days = text.view("S10")[:, 0].astype("datetime64[D]")
+        closes = np.array(list(map(float, core.replace(",", "\n").split("\n")[1::2])))
     except ValueError:
         return None
     if not (np.isfinite(closes) & (closes > 0.0)).all():
         return None
-    ordinals = np.fromiter(map(dt.date.toordinal, days), dtype=np.int64, count=len(days))
+    ordinals = days.view(np.int64)
     if (np.diff(ordinals) > 0).all():
-        return tuple(days), closes
+        return days, closes
     order = np.argsort(ordinals, kind="stable")
     if (np.diff(ordinals[order]) == 0).any():
         return None
-    return tuple(map(days.__getitem__, order.tolist())), closes[order]
+    return days[order], closes[order]
 
 
-def _checked_rows(lines: list[str]) -> tuple[tuple[dt.date, ...], np.ndarray]:
+def _checked_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The per-line rules: rows sorted by date, or the first failing line's error.
 
     ``lines`` are the body's lines; the first is line 2 of the file.
@@ -201,7 +215,7 @@ def _checked_rows(lines: list[str]) -> tuple[tuple[dt.date, ...], np.ndarray]:
         rows.append((day, close))
 
     rows.sort(key=lambda r: r[0])
-    return tuple(r[0] for r in rows), np.array([r[1] for r in rows], dtype=np.float64)
+    return np.array([r[0] for r in rows], "datetime64[D]"), np.array([r[1] for r in rows])
 
 
 def clean_series(series: PriceSeries) -> tuple[PriceSeries, int]:
@@ -218,8 +232,7 @@ def clean_series(series: PriceSeries) -> tuple[PriceSeries, int]:
         )
     if removed == 0:
         return series, 0
-    dates = tuple(d for d, ok in zip(series.dates, keep) if ok)
-    return PriceSeries(series.ticker, dates, series.closes[keep]), removed
+    return PriceSeries(series.ticker, series.dates[keep], series.closes[keep]), removed
 
 
 def normalize(series: PriceSeries) -> np.ndarray:

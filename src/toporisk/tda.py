@@ -60,7 +60,7 @@ from typing import IO, Any, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import InsufficientDataError, InternalInvariantError, ParameterError
-from .errors import check_param, check_vector
+from .errors import as_array, check_param, check_vector
 
 DEFAULT_WINDOW = 10
 DEFAULT_STRIDE = 1
@@ -76,7 +76,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = as_array("points", self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ParameterError(f"points must be a non-empty 2-D array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -166,7 +166,7 @@ _DISTANCE_BLOCK_CELLS = 1 << 21
 
 def _checked_distances(entries: Any) -> np.ndarray:
     """``entries`` as a float64 distance matrix: square, finite, >= 0, zero-diagonal, symmetric."""
-    m = np.asarray(entries, dtype=np.float64)
+    m = as_array("distance matrix", entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"distance matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)) or np.any(m < 0):

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, PipelineError, TopoRiskError
-from .errors import check_param, check_vector
+from .errors import as_array, check_param, check_vector
 from .ingest import PriceSeries, clean_series, compute_returns, normalize
 from .risk import DEFAULT_ALPHA, snapped_floor, tail_risk
 from .tda import (
@@ -255,10 +255,7 @@ def bottleneck_distance(
     a greedy matching completed by augmenting paths (``_saturates``).
     Neither the search nor the matching recurses.
     """
-    try:
-        a, b = np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a ragged sequence, or not numbers
-        raise ParameterError(f"a diagram must be (birth, death) pairs: {exc}") from exc
+    a, b = (as_array("a diagram", d, what="(birth, death) pairs") for d in (d1, d2))
     if any(p.size and (p.ndim != 2 or p.shape[1] != 2) for p in (a, b)):
         raise ParameterError("a diagram must be empty or k x 2 (birth, death) pairs")
     a, b = a.reshape(-1, 2), b.reshape(-1, 2)

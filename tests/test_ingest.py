@@ -39,14 +39,15 @@ def make_series(closes, ticker="T"):
 def test_load_minimal_file():
     series = load_price_csv(io.StringIO("date,close\n2023-01-02,100.0\n2023-01-03,101.0\n"))
     assert len(series) == 2
-    assert series.dates == (dt.date(2023, 1, 2), dt.date(2023, 1, 3))
+    assert series.dates.dtype == np.dtype("datetime64[D]")
+    assert series.dates.tolist() == [dt.date(2023, 1, 2), dt.date(2023, 1, 3)]
     assert series.closes.tolist() == [100.0, 101.0]
 
 
 def test_load_resorts_by_date():
     out_of_order = "date,close\n2023-01-03,101.0\n2023-01-02,100.0\n"
     series = load_price_csv(io.StringIO(out_of_order))
-    assert series.dates == (dt.date(2023, 1, 2), dt.date(2023, 1, 3))
+    assert series.dates.tolist() == [dt.date(2023, 1, 2), dt.date(2023, 1, 3)]
     assert series.closes.tolist() == [100.0, 101.0]
 
 
@@ -118,6 +119,35 @@ def test_price_series_validates_dates():
         PriceSeries("T", dates, np.array([1.0, 2.0]))
     with pytest.raises(ParameterError):
         PriceSeries("T", dates[:1], np.array([1.0, 2.0]))
+
+
+def test_price_series_takes_dates_as_one_datetime64_array():
+    want = [dt.date(2024, 1, 2), dt.date(2024, 1, 3)]
+    for dates in (
+        tuple(want),
+        [dt.datetime(2024, 1, 2, 12), np.datetime64("2024-01-03")],
+        np.array(["2024-01-02T09", "2024-01-03T16"], dtype="datetime64[h]"),
+    ):
+        series = PriceSeries("T", dates, [1.0, 2.0])
+        assert series.dates.dtype == np.dtype("datetime64[D]")
+        assert series.dates.tolist() == want
+        assert series.closes.dtype == np.float64
+    assert len(PriceSeries("T", (), [])) == 0
+    # the order check reads the array and names the pair, as it did the dates
+    with pytest.raises(ParameterError, match="got 2024-01-03 then 2024-01-03$"):
+        PriceSeries("T", np.array(want[1:] * 2, dtype="datetime64[D]"), [1.0, 2.0])
+
+
+def test_price_series_rejects_what_is_not_a_date_or_a_number():
+    day = dt.date(2024, 1, 2)
+    # numpy reads 5 as 1970-01-06 and "2024-01-03" as that day; neither is a date
+    for dates in ((day, 5), (5, 6), ("x", "y"), ("2024-01-02", "2024-01-03"),
+                  (day, np.datetime64("NaT")), [[day], [day, day]], (day, 2.5)):
+        with pytest.raises(ParameterError, match="^dates must be"):
+            PriceSeries("T", dates, [1.0, 2.0])
+    for closes in (["a"], [[1.0], [2.0, 3.0]], object()):
+        with pytest.raises(ParameterError, match="^closes must be 1-D numbers"):
+            PriceSeries("T", (), closes)
 
 
 def test_clean_removes_nonfinite():

@@ -3,13 +3,13 @@
 ``reference_load`` is the loader's earlier body, a Python loop over every
 row, kept here verbatim but for one later rule (a close with a ``_``
 digit separator, which ``float`` reads, is a bad close) and sharing no
-code with ``toporisk.ingest``. On
-every file of the corpus below both must give the same outcome: the same
-exception class, line number and message, or ``==`` dates and byte-equal
-closes. The corpus mixes named cases (CR endings, blank and padded lines,
-odd numbers and dates) with seeded single-character edits of a
-well-formed file, so it reaches both the strict pass and the per-line
-rules.
+code with ``toporisk.ingest``. On every file of the corpus below both
+must give the same outcome: the same exception class, line number and
+message, or the same dates, compared as tuples of ``date``, and
+byte-equal closes. The corpus mixes named cases (CR endings, blank and
+padded lines, odd numbers and dates) with seeded single-character edits
+of a well-formed file, so it reaches both the strict pass and the
+per-line rules.
 """
 
 from __future__ import annotations
@@ -82,12 +82,14 @@ def reference_load(text: str):
 
 
 def outcome(load, text: str):
-    """("ok", dates, close bytes) or ("error", class, line_no, message)."""
+    """("ok", date tuple, close bytes) or ("error", class, line_no, message)."""
     try:
         dates, closes = load(text)
     except Exception as exc:
         return ("error", type(exc), getattr(exc, "line_no", None), str(exc))
-    return ("ok", dates, np.asarray(closes, dtype=np.float64).tobytes())
+    # a datetime64[D] array lists as date objects; any other unit would not
+    days = tuple(np.asarray(dates).tolist())
+    return ("ok", days, np.asarray(closes, dtype=np.float64).tobytes())
 
 
 def library_load(text: str):
@@ -152,7 +154,14 @@ ACCEPTED = {
     "reversed": csv_text(BASE_ROWS[::-1]),
     "exponent close": with_close(0, "1e2"),
     "leap day": with_date(0, "2024-02-29"),
+    "leap day 2000": with_date(0, "2000-02-29"),
 }
+
+# non-digit bytes for each digit offset of a date; numpy's S10 -> datetime64
+# cast reads several of them (a NUL ends the string: NaT at offset 0, year 2
+# at offset 1; a sign, a blank or a tab pads the year)
+DAY = BASE_ROWS[2][0]
+NON_DIGITS = {0: "-\x00\t", 1: "\x00", 2: "\x00", 3: "a", 5: " ", 6: "+", 8: "T", 9: "\t"}
 
 REJECTED = {
     "lone cr inside a date": with_date(2, "2024-01-\r04"),
@@ -178,13 +187,23 @@ REJECTED = {
     "compact date": with_date(2, "20240104"),
     "iso week date": with_date(2, "2024-W01-4"),
     "year zero": with_date(2, "0000-01-02"),
+    "year zero, first day": with_date(2, "0000-01-01"),
+    "signed year": with_date(2, "+024-01-02"),
+    "blank-padded year": with_date(2, " 024-01-02"),
+    "seven-digit year": with_date(2, "2024101-02"),
     "no leap day": with_date(2, "2023-02-29"),
+    "no leap day 1900": with_date(2, "1900-02-29"),
     "month 13": with_date(2, "2024-13-01"),
     "day 32": with_date(2, "2024-01-32"),
     "utf-8 bom": "\ufeff" + BASE,
     "wrong header": BASE.replace("date,close", "Date,Close"),
     "empty file": "",
     "non-ascii date digit": with_date(2, "2024-01-0٤"),
+    **{
+        f"{char!r} at date offset {at}": with_date(2, DAY[:at] + char + DAY[at + 1:])
+        for at, chars in NON_DIGITS.items()
+        for char in chars
+    },
 }
 
 
@@ -286,8 +305,12 @@ def _mutant(old: str, new: str):
     ("if (np.diff(ordinals[order]) == 0).any():", "if False:"),
     # no sign or finiteness check
     ("if not (np.isfinite(closes) & (closes > 0.0)).all():", "if False:"),
-    # no check of the '-' offsets, so 2024-W01-4 reads as a date
+    # no check of the '-' offsets, so 2024101-02 reads as year 2024101
     ("not dashes.all()", "False"),
+    # no digit check, so +024-01-02 reads as year 24
+    ("(digits > 9).any() or ", ""),
+    # no year-0000 rule, so 0000-01-01 reads as a date
+    (" or not digits[:, :4].any(axis=1).all()", ""),
     # no sort
     ("if (np.diff(ordinals) > 0).all():", "if True:"),
     # no underscore scan, so 1_000 reads as 1000.0
@@ -296,3 +319,20 @@ def _mutant(old: str, new: str):
 def test_differential_test_catches_a_broken_strict_pass(monkeypatch, old, new):
     monkeypatch.setattr(ingest, "_strict_rows", _mutant(old, new))
     assert mismatches(corpus()) != []
+
+
+def test_strict_pass_reads_every_day_as_fromisoformat_does():
+    spellings = []
+    for year in (1900, 2000, 2023, 2024):
+        for month in range(1, 13):
+            for day in range(1, 32):
+                spelling = f"{year}-{month:02d}-{day:02d}"
+                try:
+                    dt.date.fromisoformat(spelling)
+                except ValueError:
+                    continue
+                spellings.append(spelling)
+    assert len(spellings) == 365 + 366 + 365 + 366
+    days, closes = strict(csv_text((s, "1.0") for s in spellings))
+    assert days.tolist() == list(map(dt.date.fromisoformat, spellings))
+    assert closes.tolist() == [1.0] * len(spellings)

@@ -163,6 +163,16 @@ def test_distance_matrix_validation():
             PointCloud(points)
 
 
+def test_array_entry_points_refuse_what_numpy_cannot_read_as_numbers():
+    # numpy's own ValueError, for text or a ragged list, is no ParameterError
+    with pytest.raises(ParameterError, match="^points must be numbers"):
+        PointCloud([["a"]])
+    with pytest.raises(ParameterError, match="^distance matrix must be numbers"):
+        build_rips_filtration([["a"]])
+    with pytest.raises(ParameterError, match="^distance matrix must be numbers"):
+        tda.collapse_edges([[0.0], [0.0, 1.0]], 1.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13])
 def test_distance_matrix_blocks_match_one_shot(n, monkeypatch):
     # blocks of 3 rows: n below, at, across and at several block boundaries

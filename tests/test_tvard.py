@@ -273,6 +273,12 @@ def test_bottleneck_rejects_infinite_pairs():
             bottleneck_distance([], d1)
 
 
+def test_bottleneck_refuses_an_int_beyond_float_range():
+    # numpy's conversion raises a bare OverflowError here
+    with pytest.raises(ParameterError, match="^a diagram must be .* too large"):
+        bottleneck_distance([(10**400, 10**400 + 1)], [])
+
+
 def test_bottleneck_symmetric():
     rng = random.Random(56)
     for _ in range(30):
