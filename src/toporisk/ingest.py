@@ -8,15 +8,16 @@ dates are rejected rather than averaged so data problems surface early.
 
 Loading takes two paths with one outcome. A strict pass reads a
 well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``)
-with numpy and C-level maps, no Python statement or ``date`` per row: it
-checks the layout and the date's digits and dashes on the bytes, casts them
-(``S10``) to ``datetime64[D]``, reads the closes with ``float`` as the
-per-line rules do, and checks finiteness, sign, order and duplicates on
-arrays. Any body it does not accept, for whatever reason, goes to the
-per-line rules, which accept what they accept (CR endings, blank lines,
-padded fields, non-ASCII digits) and raise at the first failing line.
-They are the only code that raises for a row, so the error class, line
-number and message never depend on the path taken.
+with numpy, with no ``date`` per row: it checks the layout and the date's
+digits and dashes on the bytes, casts them (``S10``) to ``datetime64[D]``,
+reads each plain decimal close (digits and at most one dot, up to 19
+bytes) in numpy to the float64 that ``float`` gives and any other close
+with ``float`` as the per-line rules do, and checks finiteness, sign,
+order and duplicates on arrays. Any body it does not accept, for whatever
+reason, goes to the per-line rules, which accept what they accept (CR
+endings, blank lines, padded fields, non-ASCII digits) and raise at the
+first failing line. They are the only code that raises for a row, so the
+error class, line number and message never depend on the path taken.
 
 Returns are computed on the min-max normalized series, so the observation
 at the price minimum maps to 0 and the return that divides by it is
@@ -56,6 +57,21 @@ CSV_HEADER = "date,close"
 
 CsvSource = Union[str, Path, IO[bytes], IO[str]]
 
+# _closes divides in long double, which rounds correctly to a significand of
+# 64 bits or more in x86-64's 80-bit format (nmant 63) and in IEEE binary128
+# (112); where it is only a double (MSVC, macOS arm64) or a double-double,
+# float() reads every close
+_LONG_DOUBLE_64 = np.finfo(np.longdouble).nmant in (63, 112)
+
+# the place of each group of four digits in a window of up to 20
+_FOURS = np.array([10**16, 10**12, 10**8, 10**4, 1], dtype=np.uint64)
+
+# by a field's shift (0 without a dot, 1 + k with k digits after it): its
+# digits after the dot are s % _SPLIT (all of them without a dot), and its
+# value is M / _SCALE
+_SCALE = np.array([1] + [10**k for k in range(19)], dtype=np.uint64)
+_SPLIT = np.array([10**19] + [10**k for k in range(19)], dtype=np.uint64)
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -68,6 +84,11 @@ class PriceSeries:
     def __post_init__(self):
         closes = check_vector("closes", self.closes)
         raw = as_array("dates", self.dates, None, "a 1-D sequence")
+        # numpy's cast keeps an aware datetime's UTC day, with a warning
+        if raw.dtype == object and any(
+            isinstance(x, dt.datetime) and x.tzinfo is not None for x in raw.ravel()
+        ):
+            raise ParameterError("dates must be naive datetimes, got one with a time zone")
         # a kind other than date or datetime64 (the cast reads 5 as 1970-01-06) is refused as NaT
         kinds = set(map(type, raw.ravel())) if raw.dtype == object else {raw.dtype.type}
         known = raw.size == 0 or all(issubclass(k, (dt.date, np.datetime64)) for k in kinds)
@@ -142,18 +163,19 @@ def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     None means only "not shown well-formed here": the caller then applies
     the per-line rules, which find and report the failure, if any.
     """
-    core = body[:-1] if body.endswith("\n") else body
+    core = body if body.endswith("\n") else body + "\n"
     if not core.isascii() or "\r" in core or "_" in core:
         return None
-    b = np.frombuffer(core.encode("ascii"), dtype=np.uint8)
+    raw = core.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     commas = np.flatnonzero(b == ord(","))
     # one comma per line, at offset 10: the first at byte 10, each later one 11
     # past the line end before it (a line too short for that has its newline
     # among its 10 date bytes, which the checks below refuse)
-    if not np.array_equal(commas, np.append(10, ends + 11)):
+    if not np.array_equal(commas, np.append(10, ends[:-1] + 11)):
         return None
-    text = b[(commas - 10)[:, None] + np.arange(10)]
+    text = _runs(b, 10)[commas - 10].view(np.uint8).reshape(-1, 10)
     digits = text[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0")
     dashes = text[:, [4, 7]] == ord("-")
     # the cast below also reads +024-01-02, " 024-01-02", year 0000 and
@@ -162,7 +184,7 @@ def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     try:
         days = text.view("S10")[:, 0].astype("datetime64[D]")
-        closes = np.array(list(map(float, core.replace(",", "\n").split("\n")[1::2])))
+        closes = _closes(raw, commas, ends)
     except ValueError:
         return None
     if not (np.isfinite(closes) & (closes > 0.0)).all():
@@ -174,6 +196,72 @@ def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     if (np.diff(ordinals[order]) == 0).any():
         return None
     return days[order], closes[order]
+
+
+def _runs(buf: np.ndarray, width: int) -> np.ndarray:
+    """Each run of ``width`` bytes of ``buf`` as one item of a view on it.
+
+    Indexed by start offsets, it reads or writes each run with one copy,
+    where a (start, column) index array moves byte by byte.
+    """
+    return np.ndarray((buf.size - width + 1,), f"V{width}", buf, strides=(1,))
+
+
+def _closes(raw: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """float() of each line's close field, bit for bit; ValueError where float() raises.
+
+    ``raw`` holds lines that each end with a newline, ``commas`` the offset
+    of each line's comma (10, after its date) and ``ends`` of its newline.
+    A plain decimal (ASCII digits and at most one dot that is not its first
+    or last byte, in at most 19 bytes) is read in numpy: its digits without
+    the dot form M < 10**19, and M / 10**k (k digits after the dot) is
+    rounded once in long double, exactly with a 64-bit significand, then to
+    float64. That second rounding differs from rounding the decimal directly
+    only where the first lands on a midpoint of two float64s; those rows and
+    every other field are read with float(), and so is every field where
+    long double is no wider than a double.
+    """
+    if not _LONG_DOUBLE_64:
+        return np.array(list(map(float, raw.decode("ascii").replace(",", "\n").split("\n")[1::2])))
+    b = np.frombuffer(raw, dtype=np.uint8)
+    widths = ends - commas - 1
+    # the window: 4, 8, ... or 20 bytes ending at each newline, enough for the
+    # widest field up to 19 bytes
+    width = min(20, max(4, (int(widths.max()) + 3) // 4 * 4))
+    d = b - ord("0")
+    _runs(d, 11)[commas - 10] = bytes(11)  # dates and commas count as digits 0
+    odd = np.flatnonzero(d > 9)  # the newlines, dots and any other non-digit
+    at = np.searchsorted(odd, commas)
+    first = odd[at]  # the field's first odd byte, or its newline
+    dot = b[first] == ord(".")
+    shift = ends - first  # 0 without a dot, else 1 + the digits after it
+    plain = (
+        (odd[at + dot] == ends)  # nothing but one dot before the newline
+        & (shift != 1) & (shift < widths)  # nor a dot at either end, nor an empty field
+        # nor a field whose window reaches the line before, nor one too long
+        & (widths >= width - 11) & (widths <= 19)
+    )
+    shift *= plain  # any other row reads as one without a dot
+    d[first[dot]] = 0
+    # (a short first line's window would start before the buffer)
+    x = _runs(d, width)[np.maximum(ends - width, 0)].view(np.uint8).reshape(-1, width)
+    # the digits two by two (at most 99, in uint8), then four by four (9999)
+    x = x[:, 0::2] * 10 + x[:, 1::2]
+    x = x[:, 0::2].astype(np.uint16) * 100 + x[:, 1::2]
+    s = np.dot(x, _FOURS[-x.shape[1]:])
+    tail = s % _SPLIT[shift]
+    q = ((s - tail) // 10 + tail).astype(np.longdouble) / _SCALE[shift]
+    closes = q.astype(np.float64)
+    # q rounds to a wrong float64 only from a midpoint, where q - closes is
+    # half the step to the other neighbour, the float64 closes + 2 (q - closes)
+    half = (q - closes).astype(np.float64)
+    plain &= (half == 0) | ((closes + 2 * half) - closes != 2 * half)
+    redo = np.flatnonzero(~plain)
+    closes[redo] = [
+        float(raw[i:j].decode("ascii"))
+        for i, j in zip((commas[redo] + 1).tolist(), ends[redo].tolist())
+    ]
+    return closes
 
 
 def _checked_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -150,6 +150,15 @@ def test_price_series_rejects_what_is_not_a_date_or_a_number():
             PriceSeries("T", (), closes)
 
 
+def test_price_series_refuses_timezone_aware_datetimes():
+    # numpy's cast warned (an error under -W error) and kept the UTC day
+    utc, plus_9 = dt.timezone.utc, dt.timezone(dt.timedelta(hours=9))
+    for dates in ((dt.datetime(2024, 1, 2, tzinfo=utc), dt.datetime(2024, 1, 3, tzinfo=utc)),
+                  (dt.date(2024, 1, 2), dt.datetime(2024, 1, 3, 8, tzinfo=plus_9))):
+        with pytest.raises(ParameterError, match="^dates must be naive datetimes"):
+            PriceSeries("T", dates, [1.0, 2.0])
+
+
 def test_clean_removes_nonfinite():
     series = make_series([100.0, math.inf, 102.0, 103.0])
     cleaned, removed = clean_series(series)

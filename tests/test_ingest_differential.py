@@ -15,6 +15,7 @@ per-line rules.
 from __future__ import annotations
 
 import datetime as dt
+import decimal
 import inspect
 import io
 import math
@@ -131,6 +132,20 @@ def with_date(index: int, date: str) -> str:
     return with_row(index, f"{date},{BASE_ROWS[index][1]}")
 
 
+def with_closes(*closes: str) -> str:
+    """A file of BASE's first dates with the closes given."""
+    return csv_text(zip((d for d, _ in BASE_ROWS), closes))
+
+
+def midpoint(a: float, b: float) -> str:
+    """The exact decimal halfway between two floats."""
+    ctx = decimal.Context(prec=80)
+    return format(ctx.divide(ctx.add(decimal.Decimal(a), decimal.Decimal(b)), 2), "f")
+
+
+AFTER_100 = float(np.nextafter(100.0, 200.0))
+
+
 # the cases the per-row loader accepts; each must stay accepted
 ACCEPTED = {
     "well formed": BASE,
@@ -155,7 +170,40 @@ ACCEPTED = {
     "exponent close": with_close(0, "1e2"),
     "leap day": with_date(0, "2024-02-29"),
     "leap day 2000": with_date(0, "2000-02-29"),
+    # the closes below all reach the strict pass: plain decimals, which
+    # ingest._closes reads in numpy unless its long double quotient lands on
+    # a float64 midpoint, beside fields it hands to float()
+    "17-digit repr closes": with_closes(
+        "0.30000000000000004", "101.23456789012345", "1.0000000000000002",
+        "99.999999999999986", "12345.678901234567",
+    ),
+    "19-digit mantissas": with_closes(
+        "1234567890123456789", "9999999999999999999", "1000000000000000001",
+        "0.00000000000000001", "123456789.012345678",
+    ),
+    # 8648.11881568055378 lies just off a float64 midpoint, onto which an
+    # 80-bit long double quotient rounds
+    "19-byte decimals near float64 midpoints": with_closes(
+        "8648.11881568055378", "6746.90941988511031", "100.0", "100.5", "100.25",
+    ),
+    "20-byte close": with_closes("12345678901234567.89", "100.0", "1.5", "2.5", "3.5"),
+    "decimal midpoints": with_closes(
+        "9007199254740993", midpoint(100.0, AFTER_100),
+        midpoint(AFTER_100, float(np.nextafter(AFTER_100, 200.0))), "100.0", "1.5",
+    ),
+    "1-byte close among 18-byte ones": with_closes(
+        "101.23456789012345", "102.34567890123456", "7", "103.45678901234567",
+        "104.56789012345678",
+    ),
+    "leading-dot close": with_close(2, ".5"),
+    "trailing-dot close": with_close(2, "5."),
+    "plus-signed close": with_close(2, "+1.5"),
+    "blank before a decimal close": with_close(2, " 1.5"),
+    "exponent 1e5 close": with_close(2, "1e5"),
 }
+
+# the named cases above from "17-digit repr closes" on
+PLAIN_AND_ODD_CLOSES = list(ACCEPTED)[list(ACCEPTED).index("17-digit repr closes"):]
 
 # non-digit bytes for each digit offset of a date; numpy's S10 -> datetime64
 # cast reads several of them (a NUL ends the string: NaT at offset 0, year 2
@@ -166,6 +214,8 @@ NON_DIGITS = {0: "-\x00\t", 1: "\x00", 2: "\x00", 3: "a", 5: " ", 6: "+", 8: "T"
 REJECTED = {
     "lone cr inside a date": with_date(2, "2024-01-\r04"),
     "space inside a close": with_close(2, "1 2"),
+    "two dots in a close": with_close(2, "9.9.5"),
+    "dot then exponent sign": with_close(2, "9.9-5"),
     "underscore close": with_close(1, "1_000"),
     "underscore inside a fraction": with_close(1, "2_0.5"),
     "extra comma": with_row(2, "2024-01-04,99.5,1"),
@@ -237,6 +287,18 @@ def long_file(seed: int, rows: int = 2521) -> list[tuple[str, str]]:
     return out
 
 
+def spread_file(seed: int, rows: int = 2521) -> list[tuple[str, str]]:
+    """A batch-sized file's rows: repr closes from 1e-6 to 1e12, with and
+    without an exponent, a fifth of them rounded to cents, so 3 to 23 bytes
+    wide and short fields next to long ones."""
+    rng = np.random.RandomState(seed)
+    days = [dt.date(2014, 1, 2) + dt.timedelta(days=i) for i in range(rows)]
+    closes = 10.0 ** rng.uniform(-6.0, 12.0, rows)
+    cents = rng.rand(rows) < 0.2
+    closes[cents] = np.round(closes[cents], 2) + 0.01
+    return [(d.isoformat(), repr(float(c))) for d, c in zip(days, closes)]
+
+
 def corpus() -> dict[str, str]:
     cases = {**ACCEPTED, **REJECTED}
     cases.update((f"edit {seed}", edited(seed)) for seed in range(400))
@@ -247,6 +309,7 @@ def corpus() -> dict[str, str]:
     cases["long shuffled"] = csv_text(shuffled)
     cases["long duplicate near the end"] = csv_text(rows + [rows[5]])
     cases["long bad close near the end"] = csv_text(rows[:-1] + [(rows[-1][0], "nan")])
+    cases["long spread of magnitudes"] = csv_text(spread_file(11))
     return cases
 
 
@@ -281,8 +344,9 @@ def test_strict_pass_takes_well_formed_files_only():
     # the named cases that reach the vectorized path, so a fall back to the
     # per-line rules for every file would not pass unnoticed
     for name in ("well formed", "no final newline", "out of order", "reversed",
-                 "space before close", "exponent close"):
+                 "space before close", "exponent close", *PLAIN_AND_ODD_CLOSES):
         assert strict(ACCEPTED[name]) is not None, name
+    assert strict(csv_text(spread_file(11))) is not None
     for name in ("crlf", "blank line", "whitespace-only line", "space before date",
                  "arabic-indic close", "header only"):
         assert strict(ACCEPTED[name]) is None, name
@@ -292,12 +356,14 @@ def test_strict_pass_takes_well_formed_files_only():
 
 
 def _mutant(old: str, new: str):
-    """_strict_rows with one source fragment replaced, in ingest's namespace."""
-    source = textwrap.dedent(inspect.getsource(ingest._strict_rows))
-    assert old in source, old
+    """(name, function) for the one of _strict_rows and _closes whose source
+    holds ``old``, with it replaced by ``new``, in ingest's namespace."""
+    [name] = [name for name in ("_strict_rows", "_closes")
+              if old in inspect.getsource(getattr(ingest, name))]
+    source = textwrap.dedent(inspect.getsource(getattr(ingest, name)))
     namespace = dict(vars(ingest))
     exec(compile(source.replace(old, new), ingest.__file__, "exec"), namespace)
-    return namespace["_strict_rows"]
+    return name, namespace[name]
 
 
 @pytest.mark.parametrize("old, new", [
@@ -315,9 +381,16 @@ def _mutant(old: str, new: str):
     ("if (np.diff(ordinals) > 0).all():", "if True:"),
     # no underscore scan, so 1_000 reads as 1000.0
     (' or "_" in core', ""),
+    # _closes: no midpoint re-parse, so a long double quotient that lands on
+    # a float64 midpoint rounds to even, off the decimal's nearest float
+    ("(half == 0) | ((closes + 2 * half) - closes != 2 * half)", "True"),
+    # no short-field re-parse, so a window reads the previous line's close
+    ("& (widths >= width - 11) ", ""),
+    # no two-dot re-parse: a dot first passes whatever follows it
+    ("(odd[at + dot] == ends)", "((odd[at] == ends) | dot)"),
 ])
 def test_differential_test_catches_a_broken_strict_pass(monkeypatch, old, new):
-    monkeypatch.setattr(ingest, "_strict_rows", _mutant(old, new))
+    monkeypatch.setattr(ingest, *_mutant(old, new))
     assert mismatches(corpus()) != []
 
 
@@ -336,3 +409,50 @@ def test_strict_pass_reads_every_day_as_fromisoformat_does():
     days, closes = strict(csv_text((s, "1.0") for s in spellings))
     assert days.tolist() == list(map(dt.date.fromisoformat, spellings))
     assert closes.tolist() == [1.0] * len(spellings)
+
+
+def bulk_fields(seed: int, count: int) -> list[str]:
+    """Positive closes float() reads, of kinds that stress a decimal parser:
+    repr'd floats, random decimals of 1 to 19 digits, fixed-point, exact
+    decimal midpoints of adjacent floats and their 19-byte cuts (which
+    fall just off the midpoint)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(5)
+        if kind == 0:
+            field = repr(10.0 ** rng.uniform(-5.0, 8.0))
+        elif kind == 1:
+            size = rng.randint(1, 19)
+            digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=size - 1))
+            cut = rng.randint(1, size - 1) if 2 < size < 19 else size
+            field = digits[:cut] + "." + digits[cut:] if cut < size else digits
+        elif kind == 2:
+            field = f"{rng.uniform(0.01, 1e5):.{rng.randint(0, 12)}f}"
+        else:
+            low = rng.uniform(1.0, 1e4)
+            field = midpoint(low, float(np.nextafter(low, np.inf)))
+            if kind == 4:
+                field = field[:19]
+        if float(field) > 0.0:
+            out.append(field)
+    return out
+
+
+def test_closes_are_float_of_each_field_on_a_seeded_bulk():
+    fields = bulk_fields(3, 100_000)
+    start = dt.date(1800, 1, 1)
+    text = csv_text(((start + dt.timedelta(days=i)).isoformat(), f) for i, f in enumerate(fields))
+    days, closes = strict(text)
+    assert len(days) == len(fields)
+    assert closes.tobytes() == np.array(list(map(float, fields))).tobytes()
+
+
+def test_closes_without_a_wide_long_double_are_float_of_each_field(monkeypatch):
+    # as on a platform whose long double is a double: every row goes to float()
+    monkeypatch.setattr(ingest, "_LONG_DOUBLE_64", False)
+    assert mismatches(corpus()) == []
+    fields = bulk_fields(4, 20_000)
+    text = csv_text(((dt.date(1900, 1, 1) + dt.timedelta(days=i)).isoformat(), f)
+                    for i, f in enumerate(fields))
+    assert strict(text)[1].tobytes() == np.array(list(map(float, fields))).tobytes()
