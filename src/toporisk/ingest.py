@@ -6,16 +6,17 @@ line endings. A close has no ``_`` digit separators, though ``float``
 reads ``1_000`` as 1000.0. Rows are sorted by date on load; duplicate
 dates are rejected rather than averaged so data problems surface early.
 
-Loading takes two paths with one outcome. A strict pass reads a
-well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``)
-with numpy, with no ``date`` per row: it checks the layout and the date's
-digits and dashes on the bytes, casts them (``S10``) to ``datetime64[D]``,
-reads each plain decimal close (digits and at most one dot, up to 19
-bytes) in numpy to the float64 that ``float`` gives and any other close
-with ``float`` as the per-line rules do, and checks finiteness, sign,
-order and duplicates on arrays. Any body it does not accept, for whatever
-reason, goes to the per-line rules, which accept what they accept (CR
-endings, blank lines, padded fields, non-ASCII digits) and raise at the
+Loading reads each file as one byte buffer and takes two paths with one
+outcome. A strict pass reads a well-formed file (header ``date,close``,
+ASCII, LF endings, every line ``YYYY-MM-DD,close``) from its bytes with
+numpy, with no ``date`` per row: it checks the layout and the date's digits
+and dashes, casts them (``S10``) to ``datetime64[D]``, reads each close with
+one parser (a plain decimal, digits and at most one dot in up to 19 bytes,
+in numpy to the float64 that ``float`` gives; any other close, and every
+close where long double is only a double, with ``float`` on its bytes) and
+checks finiteness, sign, order and duplicates on arrays. Only a file it does
+not accept is decoded, for the per-line rules, which accept what they accept
+(CR endings, blank lines, padded fields, non-ASCII digits) and raise at the
 first failing line. They are the only code that raises for a row, so the
 error class, line number and message never depend on the path taken.
 
@@ -108,22 +109,6 @@ class PriceSeries:
         return self.closes.shape[0]
 
 
-def _read_text(source: CsvSource) -> tuple[str, str | None]:
-    """Return (text, ticker-from-filename-or-None) for a path or open stream."""
-    stem = None
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        data, stem = path.read_bytes(), path.stem
-    else:
-        data = source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not UTF-8 text: {exc}") from exc
-    return data, stem
-
-
 def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     """Parse a ``date,close`` CSV into a PriceSeries sorted by date.
 
@@ -131,12 +116,12 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
     When ``ticker`` is omitted it defaults to the file stem (or "series"
     for anonymous streams).
 
-    A well-formed body (ASCII, LF endings, every line ``YYYY-MM-DD,close``
-    with valid, unique dates and finite closes > 0) is read in one
-    vectorized pass. Any other body goes to the per-line rules, which
-    accept what they accept and raise at the first failing line; they are
-    the only code that raises for a row, so both paths give the same
-    series, and every error is the per-line one.
+    The file is read as one byte buffer. A well-formed one (ASCII, LF
+    endings, every line ``YYYY-MM-DD,close`` with valid, unique dates and
+    finite closes > 0) is read from its bytes in one vectorized pass; any
+    other is decoded for the per-line rules, which raise at the first
+    failing line. They are the only code that raises for a row, so both
+    paths give the same series, and every error is the per-line one.
 
     Raises:
         FormatError: bytes that are not UTF-8, or a missing or wrong header.
@@ -144,37 +129,46 @@ def load_price_csv(source: CsvSource, ticker: str | None = None) -> PriceSeries:
         DuplicateDateError: the same date appears twice.
         BadValueError: a close that is non-finite or <= 0.
     """
-    text, stem = _read_text(source)
-    if ticker is None:
-        ticker = stem or "series"
+    if isinstance(source, (str, Path)):
+        data, stem = Path(source).read_bytes(), Path(source).stem
+    else:
+        data, stem = source.read(), "series"
+    text = data if isinstance(data, str) else None
+    if text is not None:  # only ASCII text can be well-formed, and it always encodes
+        data = text.encode() if text.isascii() else b""
+    rows = _strict_rows(data)
+    if rows is None:
+        if text is None:
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"not UTF-8 text: {exc}") from exc
+        header, _, body = text.partition("\n")
+        header = header.rstrip("\r")
+        if header != CSV_HEADER:
+            raise FormatError(f"expected header {CSV_HEADER!r}, got {header!r}")
+        rows = _checked_rows(body.split("\n"))
+    return PriceSeries(stem if ticker is None else ticker, *rows)
 
-    header, _, body = text.partition("\n")
-    header = header.rstrip("\r")
-    if header != CSV_HEADER:
-        raise FormatError(f"expected header {CSV_HEADER!r}, got {header!r}")
 
-    dates, closes = _strict_rows(body) or _checked_rows(body.split("\n"))
-    return PriceSeries(ticker=ticker, dates=dates, closes=closes)
-
-
-def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rows of a well-formed body sorted by date, or None for any other body.
+def _strict_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows of a well-formed file's bytes sorted by date, or None for any other file.
 
     None means only "not shown well-formed here": the caller then applies
     the per-line rules, which find and report the failure, if any.
     """
-    core = body if body.endswith("\n") else body + "\n"
-    if not core.isascii() or "\r" in core or "_" in core:
+    if not data.startswith(b"date,close\n") or not data.isascii() or b"\r" in data or b"_" in data:
         return None
-    raw = core.encode("ascii")
-    b = np.frombuffer(raw, dtype=np.uint8)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     commas = np.flatnonzero(b == ord(","))
-    # one comma per line, at offset 10: the first at byte 10, each later one 11
-    # past the line end before it (a line too short for that has its newline
-    # among its 10 date bytes, which the checks below refuse)
-    if not np.array_equal(commas, np.append(10, ends[:-1] + 11)):
+    # after the header's, one comma per line at offset 10, 11 past the line end
+    # before it (a shorter line has a newline among its date bytes, refused below)
+    if not np.array_equal(commas[1:], ends[:-1] + 11):
         return None
+    commas, ends = commas[1:], ends[1:]
     text = _runs(b, 10)[commas - 10].view(np.uint8).reshape(-1, 10)
     digits = text[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0")
     dashes = text[:, [4, 7]] == ord("-")
@@ -184,7 +178,7 @@ def _strict_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     try:
         days = text.view("S10")[:, 0].astype("datetime64[D]")
-        closes = _closes(raw, commas, ends)
+        closes = _closes(data, commas, ends)
     except ValueError:
         return None
     if not (np.isfinite(closes) & (closes > 0.0)).all():
@@ -210,23 +204,21 @@ def _runs(buf: np.ndarray, width: int) -> np.ndarray:
 def _closes(raw: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """float() of each line's close field, bit for bit; ValueError where float() raises.
 
-    ``raw`` holds lines that each end with a newline, ``commas`` the offset
-    of each line's comma (10, after its date) and ``ends`` of its newline.
+    ``raw`` is a file's bytes ending with a newline, ``commas`` the offset of
+    each data line's comma (10, after its date) and ``ends`` of its newline.
     A plain decimal (ASCII digits and at most one dot that is not its first
     or last byte, in at most 19 bytes) is read in numpy: its digits without
     the dot form M < 10**19, and M / 10**k (k digits after the dot) is
     rounded once in long double, exactly with a 64-bit significand, then to
     float64. That second rounding differs from rounding the decimal directly
-    only where the first lands on a midpoint of two float64s; those rows and
-    every other field are read with float(), and so is every field where
-    long double is no wider than a double.
+    only where the first lands on a midpoint of two float64s; those rows,
+    every other field, and every field where long double is no wider than
+    a double are read with float() on their bytes.
     """
-    if not _LONG_DOUBLE_64:
-        return np.array(list(map(float, raw.decode("ascii").replace(",", "\n").split("\n")[1::2])))
     b = np.frombuffer(raw, dtype=np.uint8)
     widths = ends - commas - 1
-    # the window: 4, 8, ... or 20 bytes ending at each newline, enough for the
-    # widest field up to 19 bytes
+    # the window: 4, 8, ... or 20 bytes ending at each newline, enough for a
+    # 19-byte field; the header keeps every window inside the buffer
     width = min(20, max(4, (int(widths.max()) + 3) // 4 * 4))
     d = b - ord("0")
     _runs(d, 11)[commas - 10] = bytes(11)  # dates and commas count as digits 0
@@ -236,15 +228,15 @@ def _closes(raw: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
     dot = b[first] == ord(".")
     shift = ends - first  # 0 without a dot, else 1 + the digits after it
     plain = (
-        (odd[at + dot] == ends)  # nothing but one dot before the newline
+        _LONG_DOUBLE_64  # else float() reads every close
+        & (odd[at + dot] == ends)  # nothing but one dot before the newline
         & (shift != 1) & (shift < widths)  # nor a dot at either end, nor an empty field
         # nor a field whose window reaches the line before, nor one too long
         & (widths >= width - 11) & (widths <= 19)
     )
     shift *= plain  # any other row reads as one without a dot
     d[first[dot]] = 0
-    # (a short first line's window would start before the buffer)
-    x = _runs(d, width)[np.maximum(ends - width, 0)].view(np.uint8).reshape(-1, width)
+    x = _runs(d, width)[ends - width].view(np.uint8).reshape(-1, width)
     # the digits two by two (at most 99, in uint8), then four by four (9999)
     x = x[:, 0::2] * 10 + x[:, 1::2]
     x = x[:, 0::2].astype(np.uint16) * 100 + x[:, 1::2]
@@ -258,7 +250,7 @@ def _closes(raw: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
     plain &= (half == 0) | ((closes + 2 * half) - closes != 2 * half)
     redo = np.flatnonzero(~plain)
     closes[redo] = [
-        float(raw[i:j].decode("ascii"))
+        float(raw[i:j])
         for i, j in zip((commas[redo] + 1).tolist(), ends[redo].tolist())
     ]
     return closes
@@ -343,9 +335,11 @@ def compute_returns(values: np.ndarray, ticker: str = "series") -> np.ndarray:
 
     Pairs with |v_{t-1}| <= ZERO_DENOM_EPS are skipped: len(values) - 1 -
     len(returns) of them. Errors name ``ticker``: ParameterError unless the
-    values are 1-D numbers, InsufficientDataError when fewer than 2 or all dropped.
+    values are 1-D finite numbers, InsufficientDataError when fewer than 2 or all dropped.
     """
     v = check_vector(f"{ticker}: values", values)
+    if not np.isfinite(v).all():
+        raise ParameterError(f"{ticker}: values must be finite")
     if v.shape[0] < 2:
         raise InsufficientDataError(f"{ticker}: need >= 2 values to form returns")
     prev = v[:-1]

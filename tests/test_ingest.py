@@ -256,6 +256,12 @@ def test_returns_all_dropped_or_too_short():
             compute_returns(values, "T")
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_returns_refuse_non_finite_values(bad):
+    with pytest.raises(ParameterError, match="^T: values must be finite$"):
+        compute_returns(np.array([1.0, bad, 2.0]), "T")
+
+
 def test_returns_length_bookkeeping():
     rng = random.Random(13)
     for _ in range(50):

@@ -337,7 +337,7 @@ def test_corpus_keeps_each_case_in_its_class():
 
 
 def strict(text: str):
-    return ingest._strict_rows(text.partition("\n")[2])
+    return ingest._strict_rows(text.encode())
 
 
 def test_strict_pass_takes_well_formed_files_only():
@@ -353,6 +353,38 @@ def test_strict_pass_takes_well_formed_files_only():
     for name, text in REJECTED.items():
         if outcome(reference_load, text)[1] is not FormatError:
             assert strict(text) is None, name
+
+
+class PerLineRulesReached(Exception):
+    pass
+
+
+def test_every_kind_of_source_reaches_the_strict_pass(monkeypatch, tmp_path):
+    def refuse(lines):
+        raise PerLineRulesReached
+
+    monkeypatch.setattr(ingest, "_checked_rows", refuse)
+    path = tmp_path / "T.csv"
+    path.write_bytes(BASE.encode())
+    want = outcome(reference_load, BASE)
+    for source in (path, io.BytesIO(BASE.encode()), io.StringIO(BASE)):
+        series = load_price_csv(source)
+        assert ("ok", tuple(series.dates.tolist()), series.closes.tobytes()) == want, source
+    # a CRLF or non-ASCII text stream still goes to the per-line rules
+    for name in ("crlf", "arabic-indic close"):
+        with pytest.raises(PerLineRulesReached):
+            load_price_csv(io.StringIO(ACCEPTED[name]))
+
+
+def test_bytes_that_are_not_utf8_are_refused_before_the_header(tmp_path):
+    # a wrong header and a bad byte: the error is the decode's, at its offset in the file
+    data = b"price,close\n2024-01-02,1.0\n2024-01-03,\xff2.0\n"
+    path = tmp_path / "T.csv"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(FormatError, match=r"^not UTF-8 text: .* byte 0xff in position 38:"):
+            load_price_csv(source)
+    assert data.index(b"\xff") == 38
 
 
 def _mutant(old: str, new: str):
@@ -380,7 +412,7 @@ def _mutant(old: str, new: str):
     # no sort
     ("if (np.diff(ordinals) > 0).all():", "if True:"),
     # no underscore scan, so 1_000 reads as 1000.0
-    (' or "_" in core', ""),
+    (' or b"_" in data', ""),
     # _closes: no midpoint re-parse, so a long double quotient that lands on
     # a float64 midpoint rounds to even, off the decimal's nearest float
     ("(half == 0) | ((closes + 2 * half) - closes != 2 * half)", "True"),
