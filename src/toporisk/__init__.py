@@ -20,7 +20,7 @@ _EXPORTS = {
         InsufficientDataError InternalInvariantError ParameterError PipelineError RowError
         TopoRiskError""",
     "ingest": "PriceSeries clean_series compute_returns load_price_csv normalize",
-    "risk": "conditional_var tail_risk value_at_risk",
+    "risk": "tail_risk",
     "tda": """Filtration PersistenceDiagramSet PointCloud Simplex
         build_rips_filtration collapse_edges compute_persistence delay_embed distance_matrix
         write_diagram_csv""",

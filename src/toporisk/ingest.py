@@ -344,7 +344,10 @@ def compute_returns(values: np.ndarray, ticker: str = "series") -> np.ndarray:
         raise InsufficientDataError(f"{ticker}: need >= 2 values to form returns")
     prev = v[:-1]
     ok = np.abs(prev) > ZERO_DENOM_EPS
-    returns = (v[1:][ok] - prev[ok]) / prev[ok]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        returns = (v[1:][ok] - prev[ok]) / prev[ok]
     if returns.shape[0] == 0:
         raise InsufficientDataError(f"{ticker}: all returns dropped (zero denominators)")
+    if not np.isfinite(returns).all():
+        raise ParameterError(f"{ticker}: returns overflow the float range")
     return returns

@@ -4,11 +4,10 @@ Both measures work on the empirical distribution of a return sample, no
 parametric assumptions, and are reported in return units (a bad day is a
 negative number). With returns sorted ascending:
 
-    value_at_risk   = r_(k),  k = floor((1 - alpha) * n), zero-based
-    conditional_var = mean of the max(1, k) smallest returns
+    VaR  = r_(k),  k = floor((1 - alpha) * n), zero-based
+    CVaR = mean of the max(1, k) smallest returns
 
-so conditional_var <= value_at_risk always: the tail mean cannot exceed
-the tail boundary.
+so CVaR <= VaR always: the tail mean cannot exceed the tail boundary.
 """
 
 from __future__ import annotations
@@ -35,27 +34,14 @@ def snapped_floor(x: float) -> int:
     return int(np.floor(x))
 
 
-def value_at_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
-    """Historical VaR at confidence alpha, in return units.
+def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
+    """(VaR, CVaR) of one sample at confidence alpha, in return units, from one sort.
 
     ``sample`` is a 1-D array of returns, or a sequence numpy reads as
-    one. Returns the ascending order statistic at k = floor((1 - alpha) *
-    n), clamped to the sample range.
+    one. VaR is the ascending order statistic at k = floor((1 - alpha) *
+    n), clamped to the sample; CVaR is the mean of the max(1, k) smallest
+    returns, the floor of 1 keeping the tail non-empty at high alpha.
     """
-    return tail_risk(sample, alpha)[0]
-
-
-def conditional_var(sample: Any, alpha: float = DEFAULT_ALPHA) -> float:
-    """Historical CVaR (expected shortfall) at confidence alpha, in return units.
-
-    The arithmetic mean of the max(1, floor((1 - alpha) * n)) smallest
-    returns; the floor of 1 keeps the tail non-empty at high alpha.
-    """
-    return tail_risk(sample, alpha)[1]
-
-
-def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
-    """(value_at_risk, conditional_var) of one sample, from one sort."""
     alpha = check_param("alpha", alpha)
     r = np.sort(check_vector("returns", sample))
     n = r.shape[0]
@@ -64,4 +50,8 @@ def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
     if not np.isfinite(r).all():
         raise ParameterError("returns must be finite")
     k = snapped_floor((1.0 - alpha) * n)
-    return float(r[min(max(k, 0), n - 1)]), float(np.mean(r[: min(max(1, k), n)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
+        cvar = float(np.mean(r[: min(max(1, k), n)]))
+    if not np.isfinite(cvar):
+        raise ParameterError("CVaR overflows the float range")
+    return float(r[min(max(k, 0), n - 1)]), cvar

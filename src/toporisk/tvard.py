@@ -3,8 +3,7 @@
 TVaRD is the Euclidean distance between fixed-length vectorizations of
 two persistence diagram sets, a baseline one and one recomputed from a
 random subsample of the returns (the stress scenario). The magnitude
-depends on the vectorization scheme, so the scheme is pinned down here
-and echoed in every report:
+depends on the vectorization scheme, so the scheme is pinned down here:
 
 * infinite deaths are replaced by the larger of the two thresholds,
 * per dimension, pairs sort by persistence descending (ties by birth),
@@ -15,8 +14,9 @@ Stress sampling is deterministic given the seed: a SplitMix64 stream
 drives a partial Fisher-Yates shuffle whose first floor(fraction * n)
 slots, re-sorted ascending, are the kept return indices. The subsample
 keeps chronological order. Sampling happens on the float64 return array
-``preprocess`` gives; the report's config block records fraction and
-seed so any number can be regenerated.
+``preprocess`` gives. A report's config block records window, stride,
+max_dim, threshold, fraction and seed, not the scheme, so at threshold
+"auto" it does not hold the cap applied to infinite deaths.
 """
 
 from __future__ import annotations
@@ -132,7 +132,11 @@ def tvard_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ParameterError(
             f"feature vectors not comparable: shapes {a.shape} vs {b.shape}, need equal 1-D"
         )
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused below
+        dist = float(np.linalg.norm(a - b))
+    if not math.isfinite(dist):
+        raise ParameterError(f"TVaRD needs finite feature vectors within float range, got {dist}")
+    return dist
 
 
 def _saturates(adj: list[list[int]], n_right: int) -> bool:
@@ -263,13 +267,16 @@ def bottleneck_distance(
         raise ParameterError("bottleneck distance needs finite pairs; cap infinities first")
     if np.any(a[:, 1] < a[:, 0]) or np.any(b[:, 1] < b[:, 0]):
         raise ParameterError("a diagram pair must not die before it is born")
-    cost = np.maximum(
-        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
-    )
-    half1 = (a[:, 1] - a[:, 0]) / 2.0
-    half2 = (b[:, 1] - b[:, 0]) / 2.0
+    with np.errstate(over="ignore"):  # an overflow sorts last and is refused below
+        cost = np.maximum(
+            np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+        )
+        half1 = (a[:, 1] - a[:, 0]) / 2.0
+        half2 = (b[:, 1] - b[:, 0]) / 2.0
     # sort and drop repeats: on numpy 2.x np.unique imports numpy.ma on first use
     costs = np.sort(np.concatenate(([0.0], half1, half2, cost.ravel())))
+    if math.isinf(costs[-1]):
+        raise ParameterError("bottleneck distance needs pair differences within float range")
     costs = costs[np.concatenate(([True], costs[1:] != costs[:-1]))]
     start = int(np.searchsorted(costs, _floor(cost, half1, half2)))
     lo, hi = 0, len(costs) - 1

@@ -42,15 +42,14 @@ from toporisk import (
     clean_series,
     compute_persistence,
     compute_returns,
-    conditional_var,
     delay_embed,
     distance_matrix,
     load_price_csv,
     normalize,
     run_analysis,
     stress_sample,
+    tail_risk,
     tvard_distance,
-    value_at_risk,
     vectorize,
 )
 from toporisk.cli import main
@@ -143,8 +142,7 @@ def test_var_cvar_oracle_equivalence():
         s = sorted(returns)
         k = min(max(int((1 - Fraction(str(alpha))) * n), 0), n - 1)
         count = min(max(1, int((1 - Fraction(str(alpha))) * n)), n)
-        var = value_at_risk(returns, alpha)
-        cvar = conditional_var(returns, alpha)
+        var, cvar = tail_risk(returns, alpha)
         if var != s[k] or cvar != sum(s[:count]) / count or cvar > var:
             failures += 1
     elapsed = time.perf_counter() - started

@@ -382,7 +382,7 @@ def test_star_import_binds_every_public_name():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"bound": True, "unlisted": [], "misbound": []}
     # a name left out of the table leaves __all__ too
-    assert len(toporisk.__all__) == 37
+    assert len(toporisk.__all__) == 35
 
 
 def test_unknown_package_attribute_raises_attribute_error():

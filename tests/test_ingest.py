@@ -262,6 +262,13 @@ def test_returns_refuse_non_finite_values(bad):
         compute_returns(np.array([1.0, bad, 2.0]), "T")
 
 
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [1e-11, 1e300]])
+def test_returns_refuse_an_overflow(values):
+    # finite values whose difference, or its quotient, lies beyond float range
+    with pytest.raises(ParameterError, match="^T: returns overflow the float range$"):
+        compute_returns(np.array(values), "T")
+
+
 def test_returns_length_bookkeeping():
     rng = random.Random(13)
     for _ in range(50):

@@ -19,9 +19,7 @@ import pytest
 from toporisk import (
     InsufficientDataError,
     ParameterError,
-    conditional_var,
     tail_risk,
-    value_at_risk,
 )
 from toporisk.risk import snapped_floor
 
@@ -31,12 +29,10 @@ ALPHAS = (0.8, 0.9, 0.95, 0.99)
 
 
 def test_worked_examples():
-    r = [-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05]
-    assert value_at_risk(r, 0.8) == -0.03
-    assert math.isclose(conditional_var(r, 0.8), -0.045, rel_tol=0, abs_tol=1e-15)
-    assert value_at_risk([-0.01], 0.5) == -0.01
-    assert conditional_var([-0.01], 0.99) == -0.01
-    assert value_at_risk([0.002] * 7, 0.95) == 0.002
+    # the ten-return example at alpha 0.8 is test_tail_risk_bundle's
+    assert tail_risk([-0.01], 0.5)[0] == -0.01
+    assert tail_risk([-0.01], 0.99)[1] == -0.01
+    assert tail_risk([0.002] * 7, 0.95)[0] == 0.002
 
 
 def test_tail_risk_bundle():
@@ -59,17 +55,21 @@ def test_snapped_floor():
 def test_parameter_validation():
     for alpha in (0.0, 1.0, 1.5, -0.2, math.nan, "0.9", True):
         with pytest.raises(ParameterError):
-            value_at_risk([0.01, 0.02], alpha)
-        with pytest.raises(ParameterError):
-            conditional_var([0.01, 0.02], alpha)
-        with pytest.raises(ParameterError):
             tail_risk([0.01, 0.02], alpha)
     with pytest.raises(InsufficientDataError):
-        value_at_risk([], 0.95)
+        tail_risk([], 0.95)
     with pytest.raises(ParameterError):
-        value_at_risk([0.1, math.nan], 0.95)
+        tail_risk([0.1, math.nan], 0.95)
     with pytest.raises(ParameterError):
-        value_at_risk(np.zeros((2, 2)), 0.95)
+        tail_risk(np.zeros((2, 2)), 0.95)
+
+
+def test_refuses_a_tail_mean_beyond_float_range():
+    # each return is finite, but their sum is not: it overflows to inf, or in
+    # numpy's pairwise sum of a long tail, to inf + -inf = NaN
+    for sample in ([1.7e308] * 4, [-1.7e308] * 4, [-1.7e308] * 256 + [1.7e308] * 256):
+        with pytest.raises(ParameterError, match="CVaR overflows"):
+            tail_risk(sample, 0.0001)
 
 
 def test_oracle_equivalence_seeded():
@@ -78,12 +78,9 @@ def test_oracle_equivalence_seeded():
         n = rng.randint(1, 200)
         returns = [rng.uniform(-0.2, 0.2) for _ in range(n)]
         alpha = rng.choice(ALPHAS)
-        assert value_at_risk(returns, alpha) == oracle_var(returns, alpha)
-        assert conditional_var(returns, alpha) == pytest.approx(
-            oracle_cvar(returns, alpha), rel=0, abs=1e-15
-        )
-        pair = (value_at_risk(returns, alpha), conditional_var(returns, alpha))
-        assert tail_risk(returns, alpha) == pair
+        var, cvar = tail_risk(returns, alpha)
+        assert var == oracle_var(returns, alpha)
+        assert cvar == pytest.approx(oracle_cvar(returns, alpha), rel=0, abs=1e-15)
 
 
 def test_permutation_invariance():
@@ -93,8 +90,7 @@ def test_permutation_invariance():
         shuffled = returns[:]
         rng.shuffle(shuffled)
         for alpha in ALPHAS:
-            assert value_at_risk(returns, alpha) == value_at_risk(shuffled, alpha)
-            assert conditional_var(returns, alpha) == conditional_var(shuffled, alpha)
+            assert tail_risk(returns, alpha) == tail_risk(shuffled, alpha)
 
 
 def test_monotonicity_in_alpha():
@@ -102,8 +98,9 @@ def test_monotonicity_in_alpha():
     for _ in range(50):
         returns = [rng.gauss(0, 0.02) for _ in range(rng.randint(1, 120))]
         for a1, a2 in ((0.8, 0.9), (0.9, 0.95), (0.95, 0.99)):
-            assert value_at_risk(returns, a1) >= value_at_risk(returns, a2)
-            assert conditional_var(returns, a1) >= conditional_var(returns, a2)
+            (var1, cvar1), (var2, cvar2) = tail_risk(returns, a1), tail_risk(returns, a2)
+            assert var1 >= var2
+            assert cvar1 >= cvar2
 
 
 def test_translation_equivariance():
@@ -112,9 +109,8 @@ def test_translation_equivariance():
         returns = np.array([rng.gauss(0, 0.02) for _ in range(rng.randint(1, 80))])
         c = rng.uniform(-0.5, 0.5)
         for alpha in ALPHAS:
-            assert abs(
-                value_at_risk(returns + c, alpha) - (value_at_risk(returns, alpha) + c)
-            ) < 1e-12
+            shifted = tail_risk(returns + c, alpha)[0]
+            assert abs(shifted - (tail_risk(returns, alpha)[0] + c)) < 1e-12
 
 
 def test_cvar_never_exceeds_var():
@@ -122,7 +118,8 @@ def test_cvar_never_exceeds_var():
     for _ in range(100):
         returns = [rng.gauss(0, 0.05) for _ in range(rng.randint(1, 150))]
         for alpha in ALPHAS:
-            assert conditional_var(returns, alpha) <= value_at_risk(returns, alpha)
+            var, cvar = tail_risk(returns, alpha)
+            assert cvar <= var
 
 
 def test_refuses_what_numpy_cannot_read_as_1d_numbers():
@@ -132,6 +129,5 @@ def test_refuses_what_numpy_cannot_read_as_1d_numbers():
     # an object with a ``returns`` attribute is no sample either, and 10**400
     # is beyond float range
     for sample in (Sample(), ["a"], [[0.01], [0.02, 0.03]], object(), [10**400]):
-        for measure in (value_at_risk, conditional_var, tail_risk):
-            with pytest.raises(ParameterError, match="^returns must be 1-D numbers"):
-                measure(sample, 0.95)
+        with pytest.raises(ParameterError, match="^returns must be 1-D numbers"):
+            tail_risk(sample, 0.95)

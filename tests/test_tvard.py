@@ -215,6 +215,21 @@ def test_tvard_distance_examples():
                 tvard_distance(a, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([math.nan, 1.0], [0.0, 1.0]),
+        ([math.inf, 1.0], [0.0, 1.0]),
+        ([math.inf, 1.0], [math.inf, 1.0]),
+        ([1e200, 1.0], [-1e200, 1.0]),
+    ],
+)
+def test_tvard_distance_refuses_a_non_finite_distance(a, b):
+    # a NaN feature, an infinite one (inf - inf is NaN), and finite ones whose norm overflows
+    with pytest.raises(ParameterError, match="^TVaRD needs finite feature vectors"):
+        tvard_distance(a, b)
+
+
 def test_tvard_metric_properties():
     rng = random.Random(55)
     for _ in range(60):
@@ -271,6 +286,12 @@ def test_bottleneck_rejects_infinite_pairs():
             bottleneck_distance(d1, [])
         with pytest.raises(ParameterError):
             bottleneck_distance([], d1)
+
+
+def test_bottleneck_refuses_pair_differences_beyond_float_range():
+    # every coordinate is finite, but a cost and a half persistence overflow
+    with pytest.raises(ParameterError, match="^bottleneck distance needs pair differences"):
+        bottleneck_distance([(-1e308, 1e308)], [(1e308, 1e308)])
 
 
 def test_bottleneck_refuses_an_int_beyond_float_range():
