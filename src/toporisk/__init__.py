@@ -22,8 +22,7 @@ _EXPORTS = {
     "ingest": "PriceSeries clean_series compute_returns load_price_csv normalize",
     "risk": "tail_risk",
     "tda": """Filtration PersistenceDiagramSet PointCloud Simplex
-        build_rips_filtration collapse_edges compute_persistence delay_embed distance_matrix
-        write_diagram_csv""",
+        build_rips_filtration collapse_edges compute_persistence delay_embed distance_matrix""",
     "tvard": """AnalysisConfig RiskReport bottleneck_distance preprocess report_to_json
         run_analysis stress_sample tvard_distance vectorize""",
 }

@@ -32,11 +32,10 @@ from .errors import ParameterError, PipelineError, TopoRiskError, check_param
 # perfbench/spans.py wraps clean_series, compute_returns and normalize here too
 from .ingest import clean_series, compute_returns, load_price_csv, normalize  # noqa: F401
 from .risk import tail_risk
-from .tda import _format_value as _fmt, write_diagram_csv
 from .tvard import (
     AnalysisConfig,
+    _diagram_rows,
     _diagrams_for,
-    _diagrams_json,
     preprocess,
     report_to_json,
     run_analysis,
@@ -147,14 +146,17 @@ def _unique_tickers(paths: list[Path]) -> None:
         seen[path.stem] = path
 
 
-def _table(rows: list[dict], fmt: str, numbers: tuple[str, ...]) -> str:
-    """A summary: ``rows`` as a JSON list, or RFC 4180 CSV of each row's ticker and ``numbers``."""
+def _table(rows: list[dict], fmt: str, columns: tuple[str, ...]) -> str:
+    """``rows`` as a JSON list, or RFC 4180 CSV of ``columns``, floats to 12 significant digits."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
-    out.writerow(("ticker",) + numbers)
-    out.writerows([row["ticker"]] + [_fmt(row[k]) for k in numbers] for row in rows)
+    out.writerow(columns)
+    out.writerows(
+        [format(row[k], ".12g") if isinstance(row[k], float) else row[k] for k in columns]
+        for row in rows
+    )
     return buf.getvalue()
 
 
@@ -180,7 +182,7 @@ def cmd_var(args: argparse.Namespace) -> int:
         return {"ticker": path.stem, "alpha": alpha, "var": var, "cvar": cvar}
 
     rows, failed = _run_per_ticker(paths, jobs, work)
-    written = _emit(args, _table(rows, args.format, ("var", "cvar")))
+    written = _emit(args, _table(rows, args.format, ("ticker", "var", "cvar")))
     return 0 if written and not failed else 1
 
 
@@ -201,12 +203,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     results, failed = _run_per_ticker([Path(args.input[0])], 1, work)
     if failed:
         return 1
-    if args.format == "json":
-        text = json.dumps(_diagrams_json(results[0]), indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        write_diagram_csv(results[0], buf)
-        text = buf.getvalue()
+    text = _table(_diagram_rows(results[0]), args.format, ("dim", "birth", "death"))
     return 0 if _emit(args, text) else 1
 
 
@@ -224,7 +221,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "tvard": report.tvard}
 
     rows, failed = _run_per_ticker(paths, jobs, work)
-    print(_table(rows, args.format, ("var", "cvar", "tvard")), end="")
+    print(_table(rows, args.format, ("ticker", "var", "cvar", "tvard")), end="")
     return 1 if failed else 0
 
 

@@ -61,9 +61,7 @@ PARAMETER_RULES = {
     "window": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),
     "stride": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),
     "max_dim": (numbers.Integral, lambda v: 0 <= v <= 2, "be 0, 1 or 2"),
-    "threshold": (
-        numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be a finite number >= 0 or None"
-    ),
+    "threshold": (numbers.Real, lambda v: math.isfinite(v) and v >= 0, "be a finite number >= 0"),
     "fraction": (numbers.Real, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "seed": (int, lambda v: 0 <= v < 1 << 64, "be an unsigned 64-bit integer"),
     "jobs": (numbers.Integral, lambda v: v >= 1, "be an integer >= 1"),

@@ -50,8 +50,13 @@ def tail_risk(sample: Any, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
     if not np.isfinite(r).all():
         raise ParameterError("returns must be finite")
     k = snapped_floor((1.0 - alpha) * n)
+    tail = r[: min(max(1, k), n)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
-        cvar = float(np.mean(r[: min(max(1, k), n)]))
+        cvar = float(np.mean(tail))
+        if not np.isfinite(cvar):
+            # only the sum overflowed (a mean lies in [min, max]); scaling by 2**-e < 1/n is exact
+            e = len(tail).bit_length()
+            cvar = float(np.mean(tail * 2.0**-e) * 2.0**e)
     if not np.isfinite(cvar):
         raise ParameterError("CVaR overflows the float range")
     return float(r[min(max(k, 0), n - 1)]), cvar

@@ -54,8 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Any, NamedTuple, Sequence, Union
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,6 @@ from .errors import as_array, check_param, check_vector
 DEFAULT_WINDOW = 10
 DEFAULT_STRIDE = 1
 DEFAULT_MAX_DIM = 2
-
-DIAGRAM_CSV_HEADER = "dim,birth,death"
 
 
 @dataclass(frozen=True)
@@ -676,21 +673,3 @@ def compute_persistence(f: Filtration) -> PersistenceDiagramSet:
         diagrams[q] = tuple(sorted(pairs))
         cleared = np.bincount(pivots, minlength=len(vals[q + 1])) > 0
     return PersistenceDiagramSet(diagrams, threshold, f.max_dim)
-
-
-def _format_value(x: float) -> str:
-    """A number as every table prints it: 12 significant digits, ``inf`` for infinity."""
-    return format(x, ".12g")
-
-
-def write_diagram_csv(diagrams: PersistenceDiagramSet, dest: Union[str, Path, IO[str]]) -> None:
-    """Write `dim,birth,death` rows, dimensions ascending, `inf` for essential."""
-    lines = [DIAGRAM_CSV_HEADER]
-    for q in sorted(diagrams.diagrams):
-        for birth, death in diagrams.diagrams[q]:
-            lines.append(f"{q},{_format_value(birth)},{_format_value(death)}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)

@@ -329,14 +329,13 @@ class RiskReport:
     stress_diagrams: PersistenceDiagramSet
 
 
-def _diagrams_json(ds: PersistenceDiagramSet) -> list[dict]:
-    rows = []
-    for q in sorted(ds.diagrams):
-        for birth, death in ds.diagrams[q]:
-            rows.append(
-                {"dim": q, "birth": birth, "death": "inf" if math.isinf(death) else death}
-            )
-    return rows
+def _diagram_rows(ds: PersistenceDiagramSet) -> list[dict]:
+    """One row per pair, dimensions ascending; an essential death is the string "inf"."""
+    return [
+        {"dim": q, "birth": birth, "death": "inf" if math.isinf(death) else death}
+        for q in sorted(ds.diagrams)
+        for birth, death in ds.diagrams[q]
+    ]
 
 
 def report_to_json(report: RiskReport) -> str:
@@ -357,8 +356,8 @@ def report_to_json(report: RiskReport) -> str:
             "fraction": cfg.fraction,
             "seed": cfg.seed,
         },
-        "baseline_diagrams": _diagrams_json(report.baseline_diagrams),
-        "stress_diagrams": _diagrams_json(report.stress_diagrams),
+        "baseline_diagrams": _diagram_rows(report.baseline_diagrams),
+        "stress_diagrams": _diagram_rows(report.stress_diagrams),
     }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -146,6 +146,24 @@ def test_diagram_stdout(tmp_path, capsys):
     assert outs[0][0] == 0 and outs[0][1] and outs[0] == outs[1]
 
 
+def test_diagram_csv_format(tmp_path, capsys):
+    csv = make_csv(tmp_path)
+    code, out, _ = invoke(
+        capsys, "diagram", "--input", str(csv), "--window", "5", "--max-dim", "1",
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "dim,birth,death"
+    # at the default threshold (the largest distance) H0 has one essential class,
+    # sorted after the finite ones
+    h0 = [line for line in lines[1:] if line.startswith("0,")]
+    assert h0[-1] == "0,0,inf" and "0,0,inf" not in h0[:-1]
+    # at least 9 significant digits on every finite death
+    deaths = [line.split(",")[2] for line in lines[1:] if not line.endswith(",inf")]
+    assert deaths and all(len(d.replace(".", "").lstrip("0")) >= 9 for d in deaths)
+
+
 def test_diagram_file_deterministic(tmp_path, capsys):
     csv = make_csv(tmp_path)
     paths = [tmp_path / "d1.csv", tmp_path / "d2.csv"]
@@ -382,7 +400,7 @@ def test_star_import_binds_every_public_name():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"bound": True, "unlisted": [], "misbound": []}
     # a name left out of the table leaves __all__ too
-    assert len(toporisk.__all__) == 35
+    assert len(toporisk.__all__) == 34
 
 
 def test_unknown_package_attribute_raises_attribute_error():
@@ -589,11 +607,13 @@ def test_diagram_unexpected_error_is_isolated(tmp_path, capsys, monkeypatch):
     assert f"error [internal] {csv}: RecursionError" in err
 
 
-def _diagram_csv_lines(rows: list[dict]) -> list[str]:
-    def fmt(x):
-        return x if x == "inf" else format(x, ".12g")
+def _csv_lines(rows: list[dict], columns: tuple[str, ...]) -> list[str]:
+    """JSON rows as the CSV lines they should print as: each float to 12 significant digits."""
 
-    return ["dim,birth,death"] + [f"{r['dim']},{fmt(r['birth'])},{fmt(r['death'])}" for r in rows]
+    def cell(x):
+        return format(x, ".12g") if isinstance(x, float) else str(x)
+
+    return [",".join(columns)] + [",".join(cell(r[k]) for k in columns) for r in rows]
 
 
 def test_diagram_matches_analyze_report(tmp_path, capsys):
@@ -613,8 +633,31 @@ def test_diagram_matches_analyze_report(tmp_path, capsys):
         assert json.loads(out) == report[key], key
         code, out, _ = invoke(capsys, "diagram", "--input", str(csv), *flags, *extra)
         assert code == 0
-        assert out.splitlines() == _diagram_csv_lines(report[key]), key
+        assert out.splitlines() == _csv_lines(report[key], ("dim", "birth", "death")), key
     assert report["baseline_diagrams"] != report["stress_diagrams"]
+
+
+def test_every_csv_row_is_its_json_row_to_12_digits(tmp_path, capsys):
+    csvs = [str(make_csv(tmp_path, name, seed=80 + i)) for i, name in enumerate(("AAA", "BBB"))]
+    topology = ("--window", "5", "--threshold", "0.7")
+    runs = [
+        (("diagram", "--input", csvs[0], *topology, "--max-dim", str(dim), *stress),
+         ("dim", "birth", "death"))
+        for dim in (0, 1, 2)
+        for stress in ((), ("--stress", "--seed", "3"))
+    ]
+    runs.append((("var", "--input", *csvs), ("ticker", "var", "cvar")))
+    runs.append((
+        ("analyze", "--input", *csvs, *topology, "--seed", "3", "--output", str(tmp_path / "r")),
+        ("ticker", "var", "cvar", "tvard"),
+    ))
+    for argv, columns in runs:
+        code, table, _ = invoke(capsys, *argv)
+        assert code == 0, argv
+        code, rows, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert len(json.loads(rows)) > 1, argv
+        assert table.splitlines() == _csv_lines(json.loads(rows), columns), argv
 
 
 def test_range_rules_rejected_before_io_on_every_command(tmp_path, capsys):

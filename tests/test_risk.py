@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,12 +65,21 @@ def test_parameter_validation():
         tail_risk(np.zeros((2, 2)), 0.95)
 
 
-def test_refuses_a_tail_mean_beyond_float_range():
-    # each return is finite, but their sum is not: it overflows to inf, or in
-    # numpy's pairwise sum of a long tail, to inf + -inf = NaN
-    for sample in ([1.7e308] * 4, [-1.7e308] * 4, [-1.7e308] * 256 + [1.7e308] * 256):
-        with pytest.raises(ParameterError, match="CVaR overflows"):
-            tail_risk(sample, 0.0001)
+def test_tail_mean_near_float_range_is_the_exact_mean():
+    # each return and each tail mean is finite, but numpy's sum is not: it overflows
+    # to inf, or in the pairwise sum of a long tail, to inf + -inf = NaN, and in the
+    # sequential sum of 15 returns, to -inf before the positive ones are added
+    samples = (
+        [1.7e308] * 4,
+        [-1.7e308] * 4,
+        [-1.7e308] * 256 + [1.7e308] * 256,
+        [-1.7e308] * 8 + [1.7e308] * 8,
+    )
+    for sample in samples:
+        count = max(1, int((1 - Fraction("0.0001")) * len(sample)))
+        exact = sum(map(Fraction, sorted(sample)[:count])) / count
+        cvar = tail_risk(sample, 0.0001)[1]
+        assert abs(Fraction(cvar) - exact) <= Fraction(1e-12) * abs(exact), sample
 
 
 def test_oracle_equivalence_seeded():

@@ -23,7 +23,6 @@ whose source mutants must each fail that oracle.
 from __future__ import annotations
 
 import datetime as dt
-import io
 import itertools
 import math
 import random
@@ -48,7 +47,6 @@ from toporisk import (
     distance_matrix,
     load_price_csv,
     preprocess,
-    write_diagram_csv,
 )
 from toporisk import tda, tvard
 
@@ -714,6 +712,14 @@ def test_filtration_max_dim_out_of_range_rejected():
             compute_persistence(filtration_of((Simplex((0,), 0.0),), 1.0, max_dim))
 
 
+def test_filtration_threshold_none_refused_with_a_rule_that_refuses_it():
+    # build_rips_filtration reads None as "auto" before its check; a filtration
+    # holds the number it was built at, so its rule does not offer None
+    with pytest.raises(ParameterError) as info:
+        compute_persistence(filtration_of((Simplex((0,), 0.0),), None, 0))
+    assert str(info.value) == "threshold must be a finite number >= 0, got None"
+
+
 def test_hand_built_arrays_checked_like_builder_arrays():
     verts2 = (Simplex((0,), 0.0), Simplex((1,), 0.0))
     # the same edge twice, at different values, is still a duplicate
@@ -1207,26 +1213,3 @@ def test_determinism():
     f2 = build_rips_filtration(distance_matrix(cloud), 2, None)
     assert f1.simplices == f2.simplices
     assert compute_persistence(f1).diagrams == compute_persistence(f2).diagrams
-
-
-# --- diagram CSV export ---
-
-
-def test_diagram_csv_format():
-    d = compute_persistence(unit_square_filtration())
-    buf = io.StringIO()
-    write_diagram_csv(d, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "dim,birth,death"
-    assert lines[1:5] == ["0,0,1", "0,0,1", "0,0,1", "0,0,inf"]
-    h1_line = lines[5]
-    assert h1_line.startswith("1,1,1.414213562")
-    # at least 9 significant digits on the irrational death value
-    assert len(h1_line.split(",")[2].replace(".", "")) >= 9
-
-
-def test_diagram_csv_to_path(tmp_path):
-    d = compute_persistence(unit_square_filtration())
-    out = tmp_path / "diagram.csv"
-    write_diagram_csv(d, out)
-    assert out.read_text().startswith("dim,birth,death\n")
